@@ -50,8 +50,6 @@ commands:
              --topology SPEC (default random:n=64,extra=128)
              --variant oblivious|bounded|adhoc (default adhoc)
              --scheduler fifo|lifo|random[:SEED]|bounded:D[,SEED] (default random)
-             --shards N    execute on N worker threads (needs --scheduler
-                           fifo); output is byte-identical at any N
              --max-steps N override the livelock step budget
              --trace N     print the first N trace events
              --dot PATH    write the final state as Graphviz DOT
@@ -131,16 +129,45 @@ commands:
     .to_string()
 }
 
-/// Parses `--key value` pairs.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
+/// The flags each command reads; [`parse_flags`] rejects any other.
+const COMMAND_FLAGS: &[(&str, &[&str])] = &[
+    (
+        "discover",
+        &[
+            "topology", "variant", "scheduler", "max-steps", "trace", "dot", "stats", "faults",
+            "byzantine", "churn", "record", "sweep", "jobs",
+        ],
+    ),
+    ("adversary", &["levels"]),
+    ("reduction", &["sets", "finds", "adversarial", "seed"]),
+    ("overlay", &["n", "lookups", "seed"]),
+    ("baselines", &["n", "seed", "seeds", "jobs"]),
+    (
+        "explore",
+        &[
+            "topology", "variant", "system", "budget", "walks", "depth", "seed", "faults",
+            "byzantine", "churn", "out", "jobs", "reduce", "stats", "check-snapshots",
+        ],
+    ),
+    ("replay", &["shrink", "jobs", "out"]),
+];
+
+/// Parses `--key value` pairs, rejecting any flag `command` does not read.
+fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>, CliError> {
+    let known = COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .map_or(&[][..], |(_, flags)| flags);
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| CliError(format!("expected --flag, got `{}`", args[i])))?;
+        if !known.contains(&key) {
+            return Err(CliError(format!("{command} does not take --{key}")));
+        }
         if key == "adversarial"
-            || key == "check"
             || key == "stats"
             || key == "check-snapshots"
             || key == "shrink"
@@ -207,12 +234,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     };
     match command.as_str() {
         "help" | "--help" | "-h" => Ok(usage()),
-        "discover" => discover(parse_flags(rest)?),
-        "adversary" => adversary(parse_flags(rest)?),
-        "reduction" => reduction(parse_flags(rest)?),
-        "overlay" => overlay(parse_flags(rest)?),
-        "baselines" => baselines(parse_flags(rest)?),
-        "explore" => explore_cmd(parse_flags(rest)?),
+        "discover" => discover(parse_flags("discover", rest)?),
+        "adversary" => adversary(parse_flags("adversary", rest)?),
+        "reduction" => reduction(parse_flags("reduction", rest)?),
+        "overlay" => overlay(parse_flags("overlay", rest)?),
+        "baselines" => baselines(parse_flags("baselines", rest)?),
+        "explore" => explore_cmd(parse_flags("explore", rest)?),
         "replay" => replay_cmd(rest),
         other => Err(CliError(format!(
             "unknown command `{other}`\n\n{}",
@@ -239,7 +266,7 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
 
     if flags.contains_key("byzantine") || flags.contains_key("churn") {
         for incompatible in [
-            "faults", "sweep", "shards", "trace", "stats", "dot", "max-steps", "jobs",
+            "faults", "sweep", "trace", "stats", "dot", "max-steps", "jobs",
         ] {
             if flags.contains_key(incompatible) {
                 return Err(CliError(format!(
@@ -270,11 +297,10 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
             || flags.contains_key("dot")
             || flags.contains_key("faults")
             || flags.contains_key("record")
-            || flags.contains_key("shards")
             || flags.contains_key("max-steps")
         {
             return Err(CliError(
-                "--sweep runs summary trials only: drop --trace/--stats/--dot/--faults/--record/--shards/--max-steps"
+                "--sweep runs summary trials only: drop --trace/--stats/--dot/--faults/--record/--max-steps"
                     .into(),
             ));
         }
@@ -283,21 +309,6 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
     if flags.contains_key("jobs") {
         return Err(CliError("--jobs needs --sweep".into()));
     }
-    let shards = flag_usize(&flags, "shards", 0)?;
-    if flags.contains_key("shards") {
-        if flags.get("scheduler").map(String::as_str) != Some("fifo") {
-            return Err(CliError("--shards needs --scheduler fifo".into()));
-        }
-        if shards == 0 {
-            return Err(CliError("--shards must be ≥ 1".into()));
-        }
-        if flags.contains_key("faults") {
-            return Err(CliError(
-                "--shards runs a fault-free network: drop --faults".into(),
-            ));
-        }
-    }
-
     if let Some(fault_spec) = flags.get("faults") {
         if trace_limit > 0 || want_stats || flags.contains_key("dot") {
             return Err(CliError(
@@ -321,18 +332,13 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
             .map_err(|_| CliError(format!("--max-steps: `{v}` is not a number")))?,
         None => d.default_step_budget(),
     };
-    let result = if shards > 0 {
-        d.run_all_sharded_capped(shards, budget)
-    } else {
-        d.enqueue_wake_all(sched.as_mut());
-        let steps = d.runner_mut().run(sched.as_mut(), budget);
-        steps.map(|steps| {
-            let mut outcome = d.outcome();
-            outcome.steps = steps;
-            outcome
-        })
-    };
-    let outcome = result.map_err(|e| CliError(format!("simulation failed: {e}")))?;
+    d.enqueue_wake_all(sched.as_mut());
+    let steps = d
+        .runner_mut()
+        .run(sched.as_mut(), budget)
+        .map_err(|e| CliError(format!("simulation failed: {e}")))?;
+    let mut outcome = d.outcome();
+    outcome.steps = steps;
     d.check_requirements(&graph)
         .map_err(|e| CliError(format!("requirements violated: {e}")))?;
 
@@ -1141,12 +1147,7 @@ fn replay_cmd(args: &[String]) -> Result<String, CliError> {
     if path.starts_with("--") {
         return Err(CliError("replay needs a schedule file: ard replay <file>".into()));
     }
-    let flags = parse_flags(rest)?;
-    for key in flags.keys() {
-        if key != "shrink" && key != "jobs" && key != "out" {
-            return Err(CliError(format!("replay does not take --{key}")));
-        }
-    }
+    let flags = parse_flags("replay", rest)?;
     let want_shrink = flags.contains_key("shrink");
     let jobs = flag_usize(&flags, "jobs", 1)?;
     if jobs == 0 {
@@ -1259,25 +1260,23 @@ mod tests {
     }
 
     #[test]
-    fn discover_shards_do_not_change_output() {
-        let sequential =
-            run_line("discover --topology random:n=40,extra=80 --variant adhoc --scheduler fifo --stats")
-                .unwrap();
-        for shards in [1, 4] {
-            let sharded = run_line(&format!(
-                "discover --topology random:n=40,extra=80 --variant adhoc --scheduler fifo --stats --shards {shards}"
-            ))
-            .unwrap();
-            assert_eq!(sharded, sequential, "--shards {shards} diverged");
+    fn unknown_flags_are_rejected() {
+        for line in [
+            "discover --topology ring:8 --shards 2",
+            "discover --topology ring:8 --turbo 9",
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert!(err.0.contains("discover does not take --"), "{line}: {}", err.0);
         }
-    }
-
-    #[test]
-    fn discover_shards_need_fifo() {
-        let err = run_line("discover --topology ring:8 --shards 2").unwrap_err();
-        assert!(err.0.contains("--shards needs --scheduler fifo"));
-        let err = run_line("discover --topology ring:8 --scheduler fifo --shards 0").unwrap_err();
-        assert!(err.0.contains("--shards must be ≥ 1"));
+        for line in [
+            "adversary --levels 4 --seed 1",
+            "reduction --sets 16 --check",
+            "overlay --n 24 --jobs 2",
+            "baselines --n 24 --lookups 3",
+            "explore --system racy:3 --scheduler fifo",
+        ] {
+            assert!(run_line(line).is_err(), "{line} was accepted");
+        }
     }
 
     #[test]

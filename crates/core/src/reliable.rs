@@ -87,6 +87,20 @@ impl<M: Envelope> Envelope for ReliableMsg<M> {
         }
     }
 
+    fn for_each_carried_run(&self, f: &mut dyn FnMut(u32, u32)) {
+        match self {
+            ReliableMsg::Data { payload, .. } => payload.for_each_carried_run(f),
+            ReliableMsg::Ack { .. } => {}
+        }
+    }
+
+    fn payload_heap_bytes(&self) -> usize {
+        match self {
+            ReliableMsg::Data { payload, .. } => payload.payload_heap_bytes(),
+            ReliableMsg::Ack { .. } => 0,
+        }
+    }
+
     fn carried_id_count(&self) -> usize {
         match self {
             ReliableMsg::Data { payload, .. } => payload.carried_id_count(),
@@ -402,6 +416,46 @@ mod tests {
         fn aux_bits(&self) -> u64 {
             32
         }
+    }
+
+    /// Carries the ids `start..end` as one run, backed by a fixed-size
+    /// heap buffer.
+    #[derive(Clone, Debug)]
+    struct Span(u32, u32);
+
+    impl Envelope for Span {
+        fn kind(&self) -> &'static str {
+            "span"
+        }
+        fn for_each_carried_id(&self, f: &mut dyn FnMut(NodeId)) {
+            (self.0..self.1).for_each(|i| f(NodeId::new(i as usize)));
+        }
+        fn for_each_carried_run(&self, f: &mut dyn FnMut(u32, u32)) {
+            f(self.0, self.1);
+        }
+        fn payload_heap_bytes(&self) -> usize {
+            24
+        }
+        fn aux_bits(&self) -> u64 {
+            0
+        }
+    }
+
+    fn runs_and_bytes(msg: &ReliableMsg<Span>) -> (Vec<(u32, u32)>, usize) {
+        let mut runs = Vec::new();
+        msg.for_each_carried_run(&mut |start, end| runs.push((start, end)));
+        (runs, msg.payload_heap_bytes())
+    }
+
+    #[test]
+    fn data_reports_its_payloads_runs_and_bytes() {
+        let data = ReliableMsg::Data {
+            seq: 5,
+            attempt: 2,
+            payload: Span(3, 7),
+        };
+        assert_eq!(runs_and_bytes(&data), (vec![(3, 7)], 24));
+        assert_eq!(runs_and_bytes(&ReliableMsg::Ack { seq: 5 }), (vec![], 0));
     }
 
     struct Chat {

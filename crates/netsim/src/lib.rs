@@ -84,7 +84,6 @@ pub mod par;
 pub mod record;
 mod runner;
 mod scheduler;
-pub mod shard;
 pub mod shrink;
 pub mod sync;
 mod table;

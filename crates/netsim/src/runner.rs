@@ -216,6 +216,94 @@ impl Error for LivelockError {}
 /// One directed link's in-flight messages, each with its causal depth.
 type LinkQueue<M> = VecDeque<(M, u64)>;
 
+/// Where the sends and ticks a handler causes go. The per-event engine
+/// queues each message on its link and hands the scheduler a token; the
+/// FIFO loop carries the message inside its own event queue.
+trait Outlet<M> {
+    /// Puts `msg`, sent at causal depth `depth`, in flight on link `slot`
+    /// and returns how many messages that link now has in flight.
+    fn send(
+        &mut self,
+        links: &mut [LinkQueue<M>],
+        slot: u32,
+        token: SendToken,
+        msg: M,
+        depth: u64,
+    ) -> usize;
+    /// Schedules the timer tick `node` armed.
+    fn tick(&mut self, node: NodeId);
+}
+
+impl<M> Outlet<M> for dyn Scheduler + '_ {
+    fn send(
+        &mut self,
+        links: &mut [LinkQueue<M>],
+        slot: u32,
+        token: SendToken,
+        msg: M,
+        depth: u64,
+    ) -> usize {
+        let queue = &mut links[slot as usize];
+        queue.push_back((msg, depth));
+        self.note_send(token);
+        queue.len()
+    }
+    fn tick(&mut self, node: NodeId) {
+        self.note_tick(node);
+    }
+}
+
+/// One pending event of the FIFO loop.
+enum FifoEvent<M> {
+    Wake(NodeId),
+    /// Delivery of `msg` on `src → dst` (interned link `slot`), sent at
+    /// causal depth `depth`.
+    Deliver {
+        src: NodeId,
+        dst: NodeId,
+        msg: M,
+        depth: u64,
+        slot: u32,
+    },
+    Tick(NodeId),
+}
+
+/// The FIFO loop's pending events, in execution order, plus per-slot
+/// in-flight counts (what the link queues' lengths would be) for
+/// [`Metrics::max_link_queue`].
+struct FifoLoop<M> {
+    events: VecDeque<FifoEvent<M>>,
+    in_flight: Vec<u32>,
+}
+
+impl<M> Outlet<M> for FifoLoop<M> {
+    fn send(
+        &mut self,
+        _links: &mut [LinkQueue<M>],
+        slot: u32,
+        token: SendToken,
+        msg: M,
+        depth: u64,
+    ) -> usize {
+        let i = slot as usize;
+        if i >= self.in_flight.len() {
+            self.in_flight.resize(i + 1, 0);
+        }
+        self.in_flight[i] += 1;
+        self.events.push_back(FifoEvent::Deliver {
+            src: token.src,
+            dst: token.dst,
+            msg,
+            depth,
+            slot,
+        });
+        self.in_flight[i] as usize
+    }
+    fn tick(&mut self, node: NodeId) {
+        self.events.push_back(FifoEvent::Tick(node));
+    }
+}
+
 /// The discrete-event simulation engine.
 ///
 /// Owns the nodes, the per-link FIFO queues, each node's knowledge set and
@@ -515,26 +603,18 @@ impl<P: Protocol> Runner<P> {
         sched: &mut dyn Scheduler,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) -> R,
     ) -> R {
-        debug_assert!(self.outbox.is_empty());
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut ctx = Context::new(node, &mut outbox);
-        let r = f(&mut self.nodes[node.index()], &mut ctx);
-        let tick = ctx.tick_armed();
-        self.outbox = outbox;
-        self.flush(node, 1, sched);
-        if tick {
-            sched.note_tick(node);
-        }
-        r
+        let mut r = None;
+        self.dispatch(node, 1, sched, |n, ctx| r = Some(f(n, ctx)));
+        r.expect("dispatch runs the command")
     }
 
     /// Runs a handler against `node` with a live [`Context`], flushes its
-    /// sends at `depth`, and forwards any armed tick to the scheduler.
-    fn dispatch(
+    /// sends at `depth`, and forwards any armed tick to `out`.
+    fn dispatch<O: Outlet<P::Message> + ?Sized>(
         &mut self,
         node: NodeId,
         depth: u64,
-        sched: &mut dyn Scheduler,
+        out: &mut O,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Message>),
     ) {
         debug_assert!(self.outbox.is_empty());
@@ -543,13 +623,18 @@ impl<P: Protocol> Runner<P> {
         f(&mut self.nodes[node.index()], &mut ctx);
         let tick = ctx.tick_armed();
         self.outbox = outbox;
-        self.flush(node, depth, sched);
+        self.flush(node, depth, out);
         if tick {
-            sched.note_tick(node);
+            out.tick(node);
         }
     }
 
-    fn wake_inner(&mut self, node: NodeId, depth: u64, sched: &mut dyn Scheduler) {
+    fn wake_inner<O: Outlet<P::Message> + ?Sized>(
+        &mut self,
+        node: NodeId,
+        depth: u64,
+        out: &mut O,
+    ) {
         let i = node.index();
         self.table.set_wake_enqueued(i, false);
         if self.table.awake(i) {
@@ -563,17 +648,17 @@ impl<P: Protocol> Runner<P> {
                 step: self.steps,
             });
         }
-        self.dispatch(node, depth + 1, sched, |n, ctx| n.on_wake(ctx));
+        self.dispatch(node, depth + 1, out, |n, ctx| n.on_wake(ctx));
     }
 
     /// Flushes the outbox of `src`: enforces the knowledge constraint,
-    /// meters each message and hands a token to the scheduler.
+    /// meters each message and enqueues it through `out`.
     ///
     /// Metering happens here, at *send* time, with the non-allocating
     /// [`Envelope::carried_id_count`]; knowledge updates happen at
-    /// *delivery* time in [`step`](Runner::step) via the visitor. Neither
-    /// side materialises an id `Vec`.
-    fn flush(&mut self, src: NodeId, depth: u64, sched: &mut dyn Scheduler) {
+    /// *delivery* time in [`deliver`](Runner::deliver) via the visitor.
+    /// Neither side materialises an id `Vec`.
+    fn flush<O: Outlet<P::Message> + ?Sized>(&mut self, src: NodeId, depth: u64, out: &mut O) {
         let mut outbox = std::mem::take(&mut self.outbox);
         for (dst, msg) in outbox.drain(..) {
             assert!(
@@ -592,23 +677,35 @@ impl<P: Protocol> Runner<P> {
                     step: self.steps,
                 });
             }
-            let token = SendToken {
-                src,
-                dst,
-                seq: self.seq,
-                kind: msg.kind(),
-            };
-            self.seq += 1;
-            if self.fp_on {
-                self.fp.touch_link(link_key(src, dst));
-            }
-            self.note_payload_enqueued(msg.payload_heap_bytes());
-            let slot = self.intern_link_slot(src, dst);
-            let queue = &mut self.links[slot as usize];
-            queue.push_back((msg, depth));
-            self.metrics.observe_link_queue(queue.len());
-            sched.note_send(token);
+            self.enqueue(src, dst, msg, depth, out);
         }
+        self.outbox = outbox;
+    }
+
+    /// Puts an already-metered message in flight on `src → dst`: assigns
+    /// its sequence number, interns the link and hands it to `out`.
+    fn enqueue<O: Outlet<P::Message> + ?Sized>(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        msg: P::Message,
+        depth: u64,
+        out: &mut O,
+    ) {
+        let token = SendToken {
+            src,
+            dst,
+            seq: self.seq,
+            kind: msg.kind(),
+        };
+        self.seq += 1;
+        if self.fp_on {
+            self.fp.touch_link(link_key(src, dst));
+        }
+        self.note_payload_enqueued(msg.payload_heap_bytes());
+        let slot = self.intern_link_slot(src, dst);
+        let in_flight = out.send(&mut self.links, slot, token, msg, depth);
+        self.metrics.observe_link_queue(in_flight);
     }
 
     /// Resolves `(src, dst)` to its queue slot, interning a fresh queue on
@@ -645,11 +742,15 @@ impl<P: Protocol> Runner<P> {
         self.link_slots.get(&link_key(src, dst)).copied()
     }
 
+    /// Slot of `src → dst`, which a scheduler token says holds a message.
+    fn token_slot(&self, src: NodeId, dst: NodeId) -> u32 {
+        self.existing_link_slot(src, dst)
+            .unwrap_or_else(|| panic!("scheduler bug: no pending messages on {src} → {dst}"))
+    }
+
     /// Removes the oldest in-flight message on `src → dst`.
     fn pop_link(&mut self, src: NodeId, dst: NodeId) -> (P::Message, u64) {
-        let slot = self
-            .existing_link_slot(src, dst)
-            .unwrap_or_else(|| panic!("scheduler bug: no pending messages on {src} → {dst}"));
+        let slot = self.token_slot(src, dst);
         if self.fp_on {
             self.fp.touch_link(link_key(src, dst));
         }
@@ -706,76 +807,111 @@ impl<P: Protocol> Runner<P> {
         true
     }
 
+    /// Executes a wake-up event.
+    fn wake<O: Outlet<P::Message> + ?Sized>(&mut self, node: NodeId, out: &mut O) {
+        if self.table.left(node.index()) {
+            self.table.set_wake_enqueued(node.index(), false);
+            self.metrics.record_leave_discard();
+            return;
+        }
+        if self.table.crashed(node.index()) {
+            // A crashed node loses its pending wake-up; Restart
+            // re-enqueues one so the node is not stranded asleep.
+            self.table.set_wake_enqueued(node.index(), false);
+            self.metrics.record_crash_discard();
+            return;
+        }
+        self.wake_inner(node, 0, out);
+    }
+
+    /// Delivers `msg` (sent at causal depth `depth`, already off its link)
+    /// to `dst`.
+    fn deliver<O: Outlet<P::Message> + ?Sized>(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        msg: P::Message,
+        depth: u64,
+        out: &mut O,
+    ) {
+        if self.table.left(dst.index()) || self.table.crashed(dst.index()) {
+            // Delivery to a departed or crashed node: the message is lost.
+            if self.table.left(dst.index()) {
+                self.metrics.record_leave_discard();
+            } else {
+                self.metrics.record_crash_discard();
+            }
+            if let Some(trace) = &mut self.trace {
+                trace.push(TraceEvent::Drop {
+                    src,
+                    dst,
+                    kind: msg.kind(),
+                    step: self.steps,
+                });
+            }
+            return;
+        }
+        self.metrics.record_delivery(depth);
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEvent::Deliver {
+                src,
+                dst,
+                kind: msg.kind(),
+                step: self.steps,
+            });
+        }
+        // Knowledge-graph growth: the receiver learns the sender and every
+        // id in the payload (visited, not collected; run-coded sets absorb
+        // whole payload runs, so a run-coded handover costs O(runs), not
+        // O(ids)).
+        let n = self.nodes.len();
+        let know = &mut self.table.knowledge[dst.index()];
+        know.insert(src.index());
+        msg.for_each_carried_run(&mut |start, end| {
+            debug_assert!((end as usize) <= n);
+            know.insert_run(start, end);
+        });
+        // A message wakes a sleeping receiver.
+        if !self.table.awake(dst.index()) {
+            self.wake_inner(dst, depth, out);
+        }
+        self.dispatch(dst, depth + 1, out, |node, ctx| {
+            node.on_message(src, msg, ctx);
+        });
+    }
+
+    /// Fires a timer tick armed by `node`.
+    fn tick<O: Outlet<P::Message> + ?Sized>(&mut self, node: NodeId, out: &mut O) {
+        if self.table.left(node.index()) {
+            self.metrics.record_leave_discard();
+            return;
+        }
+        if self.table.crashed(node.index()) || !self.table.awake(node.index()) {
+            // A tick armed before the crash fires into the void.
+            self.metrics.record_crash_discard();
+            return;
+        }
+        self.metrics.record_tick();
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEvent::Tick {
+                node,
+                step: self.steps,
+            });
+        }
+        self.dispatch(node, 1, out, |n, ctx| n.on_tick(ctx));
+    }
+
     /// Executes one already-chosen event.
     fn execute(&mut self, choice: Choice, sched: &mut dyn Scheduler) {
+        self.steps += 1;
         match choice {
-            Choice::Wake(node) => {
-                self.steps += 1;
-                if self.table.left(node.index()) {
-                    self.table.set_wake_enqueued(node.index(), false);
-                    self.metrics.record_leave_discard();
-                    return;
-                }
-                if self.table.crashed(node.index()) {
-                    // A crashed node loses its pending wake-up; Restart
-                    // re-enqueues one so the node is not stranded asleep.
-                    self.table.set_wake_enqueued(node.index(), false);
-                    self.metrics.record_crash_discard();
-                    return;
-                }
-                self.wake_inner(node, 0, sched);
-            }
+            Choice::Wake(node) => self.wake(node, sched),
             Choice::Deliver { src, dst } => {
-                self.steps += 1;
                 let (msg, depth) = self.pop_link(src, dst);
-                if self.table.left(dst.index()) || self.table.crashed(dst.index()) {
-                    // Delivery to a departed or crashed node: the message
-                    // is lost.
-                    if self.table.left(dst.index()) {
-                        self.metrics.record_leave_discard();
-                    } else {
-                        self.metrics.record_crash_discard();
-                    }
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEvent::Drop {
-                            src,
-                            dst,
-                            kind: msg.kind(),
-                            step: self.steps,
-                        });
-                    }
-                    return;
-                }
-                self.metrics.record_delivery(depth);
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Deliver {
-                        src,
-                        dst,
-                        kind: msg.kind(),
-                        step: self.steps,
-                    });
-                }
-                // Knowledge-graph growth: the receiver learns the sender and
-                // every id in the payload (visited, not collected; run-coded
-                // sets absorb whole payload runs, so a run-coded handover
-                // costs O(runs), not O(ids)).
-                let n = self.nodes.len();
-                let know = &mut self.table.knowledge[dst.index()];
-                know.insert(src.index());
-                msg.for_each_carried_run(&mut |start, end| {
-                    debug_assert!((end as usize) <= n);
-                    know.insert_run(start, end);
-                });
-                // A message wakes a sleeping receiver.
-                if !self.table.awake(dst.index()) {
-                    self.wake_inner(dst, depth, sched);
-                }
-                self.dispatch(dst, depth + 1, sched, |node, ctx| {
-                    node.on_message(src, msg, ctx);
-                });
+                self.deliver(src, dst, msg, depth, sched);
             }
+            Choice::Tick(node) => self.tick(node, sched),
             Choice::Drop { src, dst } => {
-                self.steps += 1;
                 let (msg, _depth) = self.pop_link(src, dst);
                 self.metrics.record_drop();
                 if let Some(trace) = &mut self.trace {
@@ -788,13 +924,10 @@ impl<P: Protocol> Runner<P> {
                 }
             }
             Choice::Duplicate { src, dst } => {
-                self.steps += 1;
                 if self.fp_on {
                     self.fp.touch_link(link_key(src, dst));
                 }
-                let slot = self.existing_link_slot(src, dst).unwrap_or_else(|| {
-                    panic!("scheduler bug: no pending messages on {src} → {dst}")
-                });
+                let slot = self.token_slot(src, dst);
                 let queue = &mut self.links[slot as usize];
                 let (msg, depth) = queue
                     .front()
@@ -827,7 +960,6 @@ impl<P: Protocol> Runner<P> {
                 sched.note_send(token);
             }
             Choice::Crash(node) => {
-                self.steps += 1;
                 self.table.set_crashed(node.index(), true);
                 self.metrics.record_crash();
                 if let Some(trace) = &mut self.trace {
@@ -838,7 +970,6 @@ impl<P: Protocol> Runner<P> {
                 }
             }
             Choice::Restart(node) => {
-                self.steps += 1;
                 let i = node.index();
                 if self.table.left(i) {
                     // A departed node never comes back.
@@ -862,28 +993,7 @@ impl<P: Protocol> Runner<P> {
                     sched.note_wake(node);
                 }
             }
-            Choice::Tick(node) => {
-                self.steps += 1;
-                if self.table.left(node.index()) {
-                    self.metrics.record_leave_discard();
-                    return;
-                }
-                if self.table.crashed(node.index()) || !self.table.awake(node.index()) {
-                    // A tick armed before the crash fires into the void.
-                    self.metrics.record_crash_discard();
-                    return;
-                }
-                self.metrics.record_tick();
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Tick {
-                        node,
-                        step: self.steps,
-                    });
-                }
-                self.dispatch(node, 1, sched, |n, ctx| n.on_tick(ctx));
-            }
             Choice::Forge { src, dst, salt } => {
-                self.steps += 1;
                 let Some(msg) = P::Message::forge(src, dst, salt) else {
                     // The protocol has no forgery for this salt: the choice
                     // is a counted no-op so schedules stay replayable.
@@ -908,25 +1018,9 @@ impl<P: Protocol> Runner<P> {
                         step: self.steps,
                     });
                 }
-                let token = SendToken {
-                    src,
-                    dst,
-                    seq: self.seq,
-                    kind,
-                };
-                self.seq += 1;
-                if self.fp_on {
-                    self.fp.touch_link(link_key(src, dst));
-                }
-                self.note_payload_enqueued(msg.payload_heap_bytes());
-                let slot = self.intern_link_slot(src, dst);
-                let queue = &mut self.links[slot as usize];
-                queue.push_back((msg, 0));
-                self.metrics.observe_link_queue(queue.len());
-                sched.note_send(token);
+                self.enqueue(src, dst, msg, 0, sched);
             }
             Choice::Silence { src, dst } => {
-                self.steps += 1;
                 let (msg, _depth) = self.pop_link(src, dst);
                 self.metrics.record_silence();
                 if let Some(trace) = &mut self.trace {
@@ -939,7 +1033,6 @@ impl<P: Protocol> Runner<P> {
                 }
             }
             Choice::StaleRestart(node) => {
-                self.steps += 1;
                 let i = node.index();
                 if self.table.left(i) {
                     self.metrics.record_leave_discard();
@@ -961,7 +1054,6 @@ impl<P: Protocol> Runner<P> {
                 }
             }
             Choice::Join(node) => {
-                self.steps += 1;
                 let i = node.index();
                 if self.table.left(i) {
                     self.metrics.record_leave_discard();
@@ -986,7 +1078,6 @@ impl<P: Protocol> Runner<P> {
                 self.wake_inner(node, 0, sched);
             }
             Choice::Leave(node) => {
-                self.steps += 1;
                 self.table.set_left(node.index(), true);
                 self.metrics.record_leave();
                 if let Some(trace) = &mut self.trace {
@@ -1001,10 +1092,29 @@ impl<P: Protocol> Runner<P> {
 
     /// Runs until quiescence or until `max_steps` events have been executed.
     ///
+    /// A bare [`FifoScheduler`](crate::FifoScheduler) hands its pending
+    /// queue over ([`Scheduler::fifo_queue`]) and the run executes in the
+    /// inline FIFO loop; every other scheduler chooses event by event. Both
+    /// engines share the handler, metering, knowledge and trace code, so
+    /// their outputs are identical.
+    ///
     /// # Errors
     ///
     /// Returns [`LivelockError`] if the budget runs out first.
     pub fn run(&mut self, sched: &mut dyn Scheduler, max_steps: u64) -> Result<u64, LivelockError> {
+        if let Some(queue) = sched.fifo_queue() {
+            // The loop carries each message inside its delivery event, so
+            // every in-flight message must own a token in this queue. A
+            // network first driven by another scheduler may hold messages
+            // whose tokens live elsewhere; those runs stay per-event.
+            let deliveries = queue
+                .iter()
+                .filter(|c| matches!(c, Choice::Deliver { .. }))
+                .count();
+            if deliveries == self.links.iter().map(VecDeque::len).sum::<usize>() {
+                return self.run_fifo(queue, max_steps);
+            }
+        }
         let mut steps = 0;
         while steps < max_steps {
             if !self.step(sched) {
@@ -1021,6 +1131,89 @@ impl<P: Protocol> Runner<P> {
             steps,
             pending: sched.pending(),
         })
+    }
+
+    /// The FIFO event loop: under a FIFO schedule global send order implies
+    /// per-link order, so each message rides inside its delivery event and
+    /// the link queues stay untouched. Starts from the tokens in `queue`
+    /// (taking their messages off the links) and, on a budget cutoff, puts
+    /// the leftover events back into the links and `queue` exactly as the
+    /// per-event engine would have left them.
+    fn run_fifo(
+        &mut self,
+        queue: &mut VecDeque<Choice>,
+        max_steps: u64,
+    ) -> Result<u64, LivelockError> {
+        let mut fifo = FifoLoop {
+            events: VecDeque::with_capacity(queue.len()),
+            in_flight: vec![0; self.links.len()],
+        };
+        for choice in queue.drain(..) {
+            fifo.events.push_back(match choice {
+                Choice::Wake(node) => FifoEvent::Wake(node),
+                Choice::Tick(node) => FifoEvent::Tick(node),
+                Choice::Deliver { src, dst } => {
+                    let slot = self.token_slot(src, dst);
+                    let (msg, depth) = self.links[slot as usize]
+                        .pop_front()
+                        .unwrap_or_else(|| panic!("scheduler bug: empty link {src} → {dst}"));
+                    fifo.in_flight[slot as usize] += 1;
+                    FifoEvent::Deliver {
+                        src,
+                        dst,
+                        msg,
+                        depth,
+                        slot,
+                    }
+                }
+                other => unreachable!("a FIFO queue holds no {other:?} tokens"),
+            });
+        }
+        let mut steps = 0;
+        while steps < max_steps {
+            let Some(event) = fifo.events.pop_front() else {
+                break;
+            };
+            steps += 1;
+            self.steps += 1;
+            match event {
+                FifoEvent::Wake(node) => self.wake(node, &mut fifo),
+                FifoEvent::Deliver {
+                    src,
+                    dst,
+                    msg,
+                    depth,
+                    slot,
+                } => {
+                    fifo.in_flight[slot as usize] -= 1;
+                    self.payload_inflight -= msg.payload_heap_bytes() as u64;
+                    self.deliver(src, dst, msg, depth, &mut fifo);
+                }
+                FifoEvent::Tick(node) => self.tick(node, &mut fifo),
+            }
+        }
+        let pending = fifo.events.len();
+        for event in fifo.events {
+            queue.push_back(match event {
+                FifoEvent::Wake(node) => Choice::Wake(node),
+                FifoEvent::Tick(node) => Choice::Tick(node),
+                FifoEvent::Deliver {
+                    src,
+                    dst,
+                    msg,
+                    depth,
+                    slot,
+                } => {
+                    self.links[slot as usize].push_back((msg, depth));
+                    Choice::Deliver { src, dst }
+                }
+            });
+        }
+        if pending == 0 {
+            Ok(steps)
+        } else {
+            Err(LivelockError { steps, pending })
+        }
     }
 
     /// Hands the terminal-state digest to a scheduler that asked for one.
@@ -1110,7 +1303,7 @@ impl<P: Protocol + fmt::Debug> fmt::Debug for Runner<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FifoScheduler, LifoScheduler};
+    use crate::{FifoScheduler, LifoScheduler, RecordingScheduler};
 
     /// Flood protocol: on wake or first sighting of a token, forward it to
     /// all initially-known peers.
@@ -1342,5 +1535,93 @@ mod tests {
         assert_eq!(line(8).metrics().id_bits(), 3);
         assert_eq!(line(9).metrics().id_bits(), 4);
         assert_eq!(line(1024).metrics().id_bits(), 10);
+    }
+
+    #[test]
+    fn only_a_bare_fifo_scheduler_selects_the_loop() {
+        assert!(FifoScheduler::new().fifo_queue().is_some());
+        let mut boxed: Box<dyn Scheduler> = Box::new(FifoScheduler::new());
+        assert!(boxed.fifo_queue().is_some());
+        assert!(RecordingScheduler::new(FifoScheduler::new())
+            .fifo_queue()
+            .is_none());
+        assert!(LifoScheduler::new().fifo_queue().is_none());
+    }
+
+    #[test]
+    fn fifo_run_after_another_scheduler_stays_per_event() {
+        /// Node 0 sends `Num(0)`, `Num(1)` to node 1 on wake and
+        /// `Num(100)` whenever it hears back; node 1 records arrivals.
+        #[derive(Clone, Debug)]
+        struct Num(u32);
+        impl Envelope for Num {
+            fn kind(&self) -> &'static str {
+                "num"
+            }
+            fn for_each_carried_id(&self, _f: &mut dyn FnMut(NodeId)) {}
+            fn aux_bits(&self) -> u64 {
+                32
+            }
+        }
+        struct Pinger {
+            got: Vec<u32>,
+        }
+        impl Protocol for Pinger {
+            type Message = Num;
+            fn on_wake(&mut self, ctx: &mut Context<'_, Num>) {
+                if ctx.me() == NodeId::new(0) {
+                    ctx.send(NodeId::new(1), Num(0));
+                    ctx.send(NodeId::new(1), Num(1));
+                }
+            }
+            fn on_message(&mut self, _: NodeId, m: Num, ctx: &mut Context<'_, Num>) {
+                self.got.push(m.0);
+                if ctx.me() == NodeId::new(0) {
+                    ctx.send(NodeId::new(1), Num(100));
+                }
+            }
+        }
+        let run = |second: &mut dyn Scheduler| {
+            let mut r = Runner::new(
+                vec![Pinger { got: vec![] }, Pinger { got: vec![] }],
+                vec![vec![NodeId::new(1)], vec![NodeId::new(0)]],
+            );
+            // LIFO leaves both of node 0's messages in flight, with their
+            // tokens in the LIFO scheduler.
+            let mut first = LifoScheduler::new();
+            r.enqueue_wake(NodeId::new(0), &mut first);
+            assert!(r.run(&mut first, 1).is_err());
+            r.exec(NodeId::new(1), second, |_, ctx| ctx.send(NodeId::new(0), Num(7)));
+            r.run(second, 100).unwrap();
+            r.node(NodeId::new(1)).got.clone()
+        };
+        let per_event = run(&mut RecordingScheduler::new(FifoScheduler::new()));
+        // Node 0's reply takes the token, but the link still delivers its
+        // oldest message first.
+        assert_eq!(per_event, vec![0]);
+        assert_eq!(run(&mut FifoScheduler::new()), per_event);
+    }
+
+    #[test]
+    fn empty_network_is_trivially_quiescent() {
+        let mut r: Runner<Flood> = Runner::new(Vec::new(), Vec::new());
+        assert_eq!(r.run(&mut FifoScheduler::new(), 100), Ok(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "knowledge violation")]
+    fn knowledge_violation_panics_in_the_fifo_loop() {
+        struct Bad;
+        impl Protocol for Bad {
+            type Message = Tok;
+            fn on_wake(&mut self, ctx: &mut Context<'_, Tok>) {
+                ctx.send(NodeId::new(1), Tok);
+            }
+            fn on_message(&mut self, _: NodeId, _: Tok, _: &mut Context<'_, Tok>) {}
+        }
+        let mut r = Runner::new(vec![Bad, Bad], vec![vec![], vec![]]);
+        let mut s = FifoScheduler::new();
+        r.enqueue_wake_all(&mut s);
+        let _ = r.run(&mut s, 100);
     }
 }

@@ -396,6 +396,19 @@ pub trait Scheduler {
     /// state, reported once when a run completes without livelock (only
     /// when [`wants_terminal_digest`](Scheduler::wants_terminal_digest)).
     fn note_terminal_digest(&mut self, _digest: u64) {}
+
+    /// The pending queue of a plain FIFO schedule, handed to
+    /// [`Runner::run`](crate::Runner::run) so it can execute the run in its
+    /// inline FIFO event loop instead of asking for one choice per event.
+    ///
+    /// Only [`FifoScheduler`] returns `Some` (the `&mut` and `Box` impls
+    /// forward every hook, this one included). A scheduler that returns it
+    /// gives up seeing individual choices, footprints and digests; every
+    /// wrapper that observes the run (recording, exploration, timing) keeps
+    /// the default `None` and so keeps the per-event engine.
+    fn fifo_queue(&mut self) -> Option<&mut VecDeque<Choice>> {
+        None
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for &mut S {
@@ -432,6 +445,9 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
     fn note_terminal_digest(&mut self, digest: u64) {
         (**self).note_terminal_digest(digest);
     }
+    fn fifo_queue(&mut self) -> Option<&mut VecDeque<Choice>> {
+        (**self).fifo_queue()
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
@@ -467,6 +483,9 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
     fn note_terminal_digest(&mut self, digest: u64) {
         (**self).note_terminal_digest(digest);
+    }
+    fn fifo_queue(&mut self) -> Option<&mut VecDeque<Choice>> {
+        (**self).fifo_queue()
     }
 }
 
@@ -522,6 +541,9 @@ impl Scheduler for FifoScheduler {
     }
     fn pending(&self) -> usize {
         self.queue.len()
+    }
+    fn fifo_queue(&mut self) -> Option<&mut VecDeque<Choice>> {
+        Some(&mut self.queue)
     }
 }
 
