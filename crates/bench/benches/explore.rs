@@ -3,27 +3,25 @@
 //! that with `scripts/bench.sh`).
 //!
 //! Each iteration runs one full exploration — branch-point DFS at depth 13
-//! over the violation-tolerant racy fixture — for every `(jobs,
-//! checkpoint)` cell of the scaling grid. Throughput is reported in
-//! explored schedules per second.
+//! over the violation-tolerant racy fixture — once from scratch (the
+//! closure contract) and once with checkpoint/fork prefix reuse.
+//! Throughput is reported in explored schedules per second.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use ard_bench::explorebench::{run_workload, EXPLORE_JOBS};
+use ard_bench::explorebench::{run_workload, EXPLORE_MODES};
 
 fn bench_explore(c: &mut Criterion) {
     let budget = 400;
-    let runs = run_workload(budget, 1, false).runs;
+    let runs = run_workload(budget, false).runs;
     let mut group = c.benchmark_group("explore_throughput");
     group.sample_size(10);
-    for checkpoint in [false, true] {
-        for jobs in EXPLORE_JOBS {
-            group.throughput(Throughput::Elements(runs));
-            let label = if checkpoint { "checkpoint" } else { "scratch" };
-            group.bench_with_input(BenchmarkId::new(label, jobs), &jobs, |b, &jobs| {
-                b.iter(|| std::hint::black_box(run_workload(budget, jobs, checkpoint).runs));
-            });
-        }
+    group.throughput(Throughput::Elements(runs));
+    for mode in EXPLORE_MODES {
+        let checkpoint = mode == "checkpoint";
+        group.bench_function(mode, |b| {
+            b.iter(|| std::hint::black_box(run_workload(budget, checkpoint).runs));
+        });
     }
     group.finish();
 }

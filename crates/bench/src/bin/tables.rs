@@ -120,8 +120,8 @@ fn main() -> ExitCode {
         let points = ard_bench::explorebench::measure(budget, 3);
         for p in &points {
             println!(
-                "jobs={:<2} checkpoint={:<5} {:>7} runs in {:>8.3}s  ->  {:>10.0} runs/s  ({:>5.2}x)",
-                p.jobs, p.checkpoint, p.runs, p.secs, p.runs_per_sec, p.speedup
+                "{:<10} {:>7} runs in {:>8.3}s  ->  {:>10.0} runs/s  ({:>5.2}x)",
+                p.mode, p.runs, p.secs, p.runs_per_sec, p.speedup
             );
         }
         let reduction_budget = if quick {

@@ -9,20 +9,21 @@
 //! compute (the fixture's `spin` knob), weighting the workload like a
 //! protocol whose handlers do real work; that is what makes prefix
 //! *re-execution* the dominant cost checkpoint/fork exists to remove. The
-//! sweep crosses worker counts with checkpoint/fork prefix reuse on and
-//! off; the `(jobs = 1, checkpoint = off)` cell is the pre-parallel
-//! sequential engine and the baseline every speedup is relative to.
-//! Results are byte-identical across the whole grid (the explorer
-//! guarantees it; [`measure`] asserts it), so the grid measures pure
-//! engine cost. This is the metric `BENCH_explore.json` records;
-//! regenerate it with `scripts/bench.sh` (or `tables --bench-explore`).
+//! measurement has two rows: *scratch*, the closure contract
+//! ([`explore`] over [`run_fork_system`]), which re-executes every prefix
+//! and is the baseline; and *checkpoint*, [`explore_fork`], which forks
+//! each run from a cached branch-point snapshot. Both rows find the same
+//! result (the explorer guarantees it; [`measure`] asserts it), so they
+//! measure pure engine cost. This is the metric `BENCH_explore.json`
+//! records; regenerate it with `scripts/bench.sh` (or
+//! `tables --bench-explore`).
 
 use std::time::Instant;
 
-use ard_netsim::explore::{explore_fork, fixtures, ExploreConfig, ExploreReport, ReduceMode};
-
-/// Worker counts the explorer sweep covers.
-pub const EXPLORE_JOBS: [usize; 4] = [1, 2, 4, 8];
+use ard_netsim::explore::{
+    explore, explore_fork, fixtures, run_fork_system, ExploreConfig, ExploreReport, ReduceMode,
+};
+use ard_netsim::Scheduler;
 
 /// DFS budget of the pinned workload (number of schedules executed).
 pub const EXPLORE_BUDGET: u64 = 2_000;
@@ -45,61 +46,60 @@ pub const REDUCTION_BUDGET: u64 = 100_000;
 
 /// Per-event compute weight of the reduction comparison. The reduction
 /// metric is search-space *size*, not handler cost, so the workload runs
-/// light — the grid above already measures re-execution cost.
+/// light — the scratch and checkpoint rows measure re-execution cost.
 pub const REDUCTION_SPIN: u32 = 10;
 
-/// One measured `(jobs, checkpoint)` cell of the explorer grid.
+/// The two ways the pinned workload is executed.
+pub const EXPLORE_MODES: [&str; 2] = ["scratch", "checkpoint"];
+
+/// One measured row of the explorer benchmark.
 #[derive(Clone, Debug)]
 pub struct ExplorePoint {
-    /// Worker threads the explorer ran with.
-    pub jobs: usize,
-    /// Whether checkpoint/fork prefix reuse was enabled.
-    pub checkpoint: bool,
-    /// Schedules executed (identical across the grid).
+    /// `"scratch"` (closure contract, the baseline) or `"checkpoint"`
+    /// (checkpoint/fork prefix reuse).
+    pub mode: &'static str,
+    /// Schedules executed (identical across the rows).
     pub runs: u64,
     /// Best wall-clock seconds over the measured repetitions.
     pub secs: f64,
     /// `runs / secs` for the best repetition.
     pub runs_per_sec: f64,
-    /// Wall-clock speedup vs the `(jobs = 1, checkpoint = off)` baseline.
+    /// Wall-clock speedup vs the scratch row.
     pub speedup: f64,
 }
 
 /// Runs the pinned workload once and returns its report.
-pub fn run_workload(budget: u64, jobs: usize, checkpoint: bool) -> ExploreReport {
-    run_workload_spin(budget, jobs, checkpoint, EXPLORE_SPIN)
+pub fn run_workload(budget: u64, checkpoint: bool) -> ExploreReport {
+    run_workload_spin(budget, checkpoint, EXPLORE_SPIN)
 }
 
 /// [`run_workload`] with an explicit per-event compute weight (the unit
 /// tests use a light one so debug builds stay fast).
-pub fn run_workload_spin(budget: u64, jobs: usize, checkpoint: bool, spin: u32) -> ExploreReport {
+pub fn run_workload_spin(budget: u64, checkpoint: bool, spin: u32) -> ExploreReport {
     let config = ExploreConfig {
         random_walks: 0,
         dfs_budget: budget,
         dfs_depth: EXPLORE_DEPTH,
-        seed: 0,
-        fault: None,
-        byzantine: None,
-        churn: None,
-        jobs,
-        checkpoint,
-        verify_snapshots: false,
-        reduce: ReduceMode::None,
+        ..ExploreConfig::default()
     };
-    explore_fork(
-        &config,
-        &fixtures::RacySystem::tolerant(EXPLORE_CLIENTS).spin(spin),
-    )
+    let system = fixtures::RacySystem::tolerant(EXPLORE_CLIENTS).spin(spin);
+    if checkpoint {
+        explore_fork(&config, &system)
+    } else {
+        explore(&config, || {
+            |sched: &mut dyn Scheduler| run_fork_system(&system, sched)
+        })
+    }
 }
 
-/// Measures the full `(checkpoint, jobs)` grid at the given budget,
-/// taking the best of `reps` repetitions per cell.
+/// Measures both rows at the given budget, taking the best of `reps`
+/// repetitions per row.
 ///
 /// # Panics
 ///
-/// Panics if any cell's report diverges from the sequential baseline —
-/// the explorer's byte-identical-results contract failing is a bug worth
-/// stopping a benchmark run for.
+/// Panics if the rows' reports diverge — the explorer's
+/// same-results-either-way contract failing is a bug worth stopping a
+/// benchmark run for.
 pub fn measure(budget: u64, reps: u32) -> Vec<ExplorePoint> {
     measure_spin(budget, reps, EXPLORE_SPIN)
 }
@@ -110,36 +110,29 @@ pub fn measure(budget: u64, reps: u32) -> Vec<ExplorePoint> {
 ///
 /// Panics on result divergence, as [`measure`] does.
 pub fn measure_spin(budget: u64, reps: u32, spin: u32) -> Vec<ExplorePoint> {
-    let baseline_runs = run_workload_spin(budget, 1, false, spin).runs;
-    let mut points = Vec::new();
-    let mut baseline_secs = f64::INFINITY;
-    for checkpoint in [false, true] {
-        for jobs in EXPLORE_JOBS {
-            let mut best_secs = f64::INFINITY;
-            let mut runs = 0u64;
-            for _ in 0..reps.max(1) {
-                let start = Instant::now();
-                let report = run_workload_spin(budget, jobs, checkpoint, spin);
-                let secs = start.elapsed().as_secs_f64();
-                assert!(
-                    report.failure.is_none() && report.runs == baseline_runs,
-                    "explorer results diverged at jobs={jobs} checkpoint={checkpoint}"
-                );
-                runs = report.runs;
-                best_secs = best_secs.min(secs);
-            }
-            if !checkpoint && jobs == 1 {
-                baseline_secs = best_secs;
-            }
-            points.push(ExplorePoint {
-                jobs,
-                checkpoint,
-                runs,
-                secs: best_secs,
-                runs_per_sec: runs as f64 / best_secs,
-                speedup: baseline_secs / best_secs,
-            });
+    let mut points: Vec<ExplorePoint> = Vec::new();
+    for mode in EXPLORE_MODES {
+        let mut best_secs = f64::INFINITY;
+        let mut runs = 0u64;
+        for _ in 0..reps.max(1) {
+            let start = Instant::now();
+            let report = run_workload_spin(budget, mode == "checkpoint", spin);
+            let secs = start.elapsed().as_secs_f64();
+            assert!(
+                report.failure.is_none() && points.iter().all(|p| p.runs == report.runs),
+                "explorer results diverged in the {mode} row"
+            );
+            runs = report.runs;
+            best_secs = best_secs.min(secs);
         }
+        let baseline_secs = points.first().map_or(best_secs, |p| p.secs);
+        points.push(ExplorePoint {
+            mode,
+            runs,
+            secs: best_secs,
+            runs_per_sec: runs as f64 / best_secs,
+            speedup: baseline_secs / best_secs,
+        });
     }
     points
 }
@@ -202,14 +195,7 @@ pub fn measure_reduction_spec(budget: u64, spin: u32, clients: usize, depth: usi
         random_walks: 0,
         dfs_budget: budget,
         dfs_depth: depth,
-        seed: 0,
-        fault: None,
-        byzantine: None,
-        churn: None,
-        jobs: 1,
-        checkpoint: true,
-        verify_snapshots: false,
-        reduce: ReduceMode::None,
+        ..ExploreConfig::default()
     };
     let system = fixtures::RacySystem::tolerant(clients).spin(spin);
     let start = Instant::now();
@@ -246,13 +232,12 @@ pub fn measure_reduction_spec(budget: u64, spin: u32, clients: usize, depth: usi
 /// Renders the points as the `BENCH_explore.json` document.
 pub fn to_json(points: &[ExplorePoint], reduction: &ReductionPoint) -> String {
     let mut out = String::from(
-        "{\n  \"metric\": \"explore_runs_per_sec\",\n  \"workload\": \"dfs depth 13 over racy:6 (tolerant, spin 40000), baseline jobs=1 no checkpoint\",\n  \"points\": [\n",
+        "{\n  \"metric\": \"explore_runs_per_sec\",\n  \"workload\": \"dfs depth 13 over racy:6 (tolerant, spin 40000), baseline scratch\",\n  \"points\": [\n",
     );
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"jobs\": {}, \"checkpoint\": {}, \"runs\": {}, \"secs\": {:.6}, \"runs_per_sec\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            p.jobs,
-            p.checkpoint,
+            "    {{\"mode\": \"{}\", \"runs\": {}, \"secs\": {:.6}, \"runs_per_sec\": {:.0}, \"speedup\": {:.2}}}{}\n",
+            p.mode,
             p.runs,
             p.secs,
             p.runs_per_sec,
@@ -287,9 +272,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn measure_covers_the_grid_and_agrees_with_the_baseline() {
+    fn measure_covers_both_rows_and_agrees_with_the_baseline() {
         let points = measure_spin(64, 1, 10);
-        assert_eq!(points.len(), 2 * EXPLORE_JOBS.len());
+        assert_eq!(points.len(), EXPLORE_MODES.len());
         let runs = points[0].runs;
         for p in &points {
             assert_eq!(p.runs, runs);
@@ -304,7 +289,10 @@ mod tests {
         let reduction = measure_reduction_spec(10_000, 10, 3, 7);
         let json = to_json(&points, &reduction);
         assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert_eq!(json.matches("\"checkpoint\"").count(), points.len());
+        for mode in EXPLORE_MODES {
+            let row = format!("{{\"mode\": \"{mode}\"");
+            assert!(json.contains(&row), "{mode} row:\n{json}");
+        }
         assert!(!json.contains(",\n  ]"), "no trailing comma:\n{json}");
         assert!(json.contains("\"reduction\""), "reduction section:\n{json}");
         assert!(json.contains("\"ratio\""), "ratio recorded:\n{json}");
@@ -326,8 +314,8 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic() {
-        let a = run_workload_spin(48, 1, false, 10);
-        let b = run_workload_spin(48, 4, true, 10);
+        let a = run_workload_spin(48, false, 10);
+        let b = run_workload_spin(48, true, 10);
         assert_eq!(a.runs, b.runs);
         assert!(a.failure.is_none() && b.failure.is_none());
     }

@@ -10,7 +10,7 @@ use ard_lower_bounds::{tree_adversary, uf_reduction};
 use ard_netsim::explore::{
     explore, explore_fork, fixtures, ExploreConfig, ExploreReport, ReduceMode,
 };
-use ard_netsim::shrink::shrink_jobs;
+use ard_netsim::shrink::shrink;
 use ard_netsim::{
     ByzantinePlan, ChurnPlan, FaultPlan, NodeId, RandomScheduler, ReplayScheduler, Schedule,
     Scheduler,
@@ -108,8 +108,9 @@ commands:
                            schedule
              --out PATH    file for the minimized failing schedule
                            (default ard-failure.schedule)
-             --jobs N      worker threads for candidate runs; results are
-                           byte-identical at any value (default 1)
+             --jobs N      worker threads for the random walks (the DFS
+                           runs sequentially); results are byte-identical
+                           at any value (default 1)
              --reduce [sleep|none]
                            dynamic partial-order reduction of the DFS
                            phase: sleep sets + terminal-state dedup prune
@@ -118,10 +119,11 @@ commands:
              --stats       print reduction counters (sleep-pruned,
                            state-deduped)
              --check-snapshots
-                           debug: re-execute every checkpoint-resumed DFS
-                           run from scratch and panic on divergence
+                           debug, fixtures only: re-execute every
+                           checkpoint-forked DFS run from scratch and
+                           panic on divergence
   replay     re-execute a recorded schedule file byte-for-byte
-             ard replay <file> [--shrink [--jobs N] [--out PATH]]
+             ard replay <file> [--shrink [--out PATH]]
              --shrink      ddmin-minimize the replayed failure and write
                            the 1-minimal schedule (default <file>.min)
   help       print this text
@@ -149,7 +151,7 @@ const COMMAND_FLAGS: &[(&str, &[&str])] = &[
             "byzantine", "churn", "out", "jobs", "reduce", "stats", "check-snapshots",
         ],
     ),
-    ("replay", &["shrink", "jobs", "out"]),
+    ("replay", &["shrink", "out"]),
 ];
 
 /// Parses `--key value` pairs, rejecting any flag `command` does not read.
@@ -703,7 +705,7 @@ fn baselines(flags: HashMap<String, String>) -> Result<String, CliError> {
     // freely; merging reports in seed order makes the output independent of
     // the job count.
     let trial_seeds: Vec<u64> = (0..seeds as u64).map(|i| seed + 3 * i).collect();
-    let reports = ard_bench::parallel::parallel_map(jobs, trial_seeds, |s| baseline_trial(n, s));
+    let reports = ard_netsim::par::parallel_map(jobs, trial_seeds, |s| baseline_trial(n, s));
     if seeds == 1 {
         return reports.into_iter().next().unwrap();
     }
@@ -973,8 +975,7 @@ impl System {
 
     /// Runs an exploration over this system. The fixtures go through the
     /// checkpoint/fork path (their runs are cloneable); discovery runs
-    /// through the run-to-completion closure contract. Results are
-    /// byte-identical either way.
+    /// through the run-to-completion closure contract.
     fn explore(&self, config: &ExploreConfig) -> ExploreReport {
         match self {
             System::Racy { clients } => explore_fork(config, &fixtures::RacySystem::new(*clients)),
@@ -1042,6 +1043,15 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         }
         Some(other) => System::parse_fixture(other)?,
     };
+    if flags.contains_key("check-snapshots") && matches!(system, System::Discovery { .. }) {
+        // Only forkable systems resume runs from snapshots; discovery runs
+        // from scratch, so there would be nothing to check.
+        return Err(CliError(
+            "--check-snapshots checks checkpoint-forked runs, which only the fixtures \
+             have: use --system racy:K, fragile:K or equiv:K"
+                .into(),
+        ));
+    }
     let n = system.node_count()?;
     let fault = match flags.get("faults") {
         Some(fault_spec) => Some(spec::parse_faults(fault_spec, n)?),
@@ -1068,7 +1078,6 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         jobs,
         verify_snapshots: flags.contains_key("check-snapshots"),
         reduce,
-        ..ExploreConfig::default()
     };
     let report = system.explore(&config);
     let mut out = String::new();
@@ -1116,7 +1125,7 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         failure.run_index + 1
     )
     .unwrap();
-    let shrunk = shrink_jobs(&failure.schedule, jobs, || {
+    let shrunk = shrink(&failure.schedule, || {
         |sched: &mut dyn Scheduler| system.run_one(sched)
     });
     writeln!(
@@ -1149,12 +1158,8 @@ fn replay_cmd(args: &[String]) -> Result<String, CliError> {
     }
     let flags = parse_flags("replay", rest)?;
     let want_shrink = flags.contains_key("shrink");
-    let jobs = flag_usize(&flags, "jobs", 1)?;
-    if jobs == 0 {
-        return Err(CliError("--jobs must be ≥ 1".into()));
-    }
-    if !want_shrink && (flags.contains_key("jobs") || flags.contains_key("out")) {
-        return Err(CliError("--jobs/--out need --shrink".into()));
+    if !want_shrink && flags.contains_key("out") {
+        return Err(CliError("--out needs --shrink".into()));
     }
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
@@ -1191,7 +1196,7 @@ fn replay_cmd(args: &[String]) -> Result<String, CliError> {
                 "--shrink needs a failing schedule, but the replay found no violation".into(),
             ));
         }
-        let shrunk = shrink_jobs(&schedule, jobs, || {
+        let shrunk = shrink(&schedule, || {
             |sched: &mut dyn Scheduler| system.run_one(sched)
         });
         writeln!(
@@ -1277,6 +1282,8 @@ mod tests {
         ] {
             assert!(run_line(line).is_err(), "{line} was accepted");
         }
+        let err = run_line("replay some.schedule --shrink --jobs 2").unwrap_err();
+        assert!(err.0.contains("replay does not take --jobs"), "{}", err.0);
     }
 
     #[test]
@@ -1583,6 +1590,24 @@ mod tests {
     }
 
     #[test]
+    fn explore_check_snapshots_needs_a_fixture() {
+        // Discovery runs never fork from snapshots, so the flag would
+        // check nothing: it is rejected, naming the systems that fork.
+        for line in [
+            "explore --budget 4 --check-snapshots",
+            "explore --system discovery --topology ring:6 --budget 4 --check-snapshots",
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert!(err.0.contains("--check-snapshots"), "{line}: {}", err.0);
+            assert!(
+                err.0.contains("racy:K, fragile:K or equiv:K"),
+                "{line}: {}",
+                err.0
+            );
+        }
+    }
+
+    #[test]
     fn replay_shrink_minimizes_and_writes() {
         use ard_netsim::explore::{explore, ExploreConfig};
         // An *unshrunk* failing schedule, as the explorer first found it.
@@ -1595,17 +1620,21 @@ mod tests {
         std::fs::write(&path, schedule.to_text()).unwrap();
         let path = path.to_str().unwrap().to_string();
 
-        let sequential = run_line(&format!("replay {path} --shrink")).unwrap();
-        assert!(sequential.contains("violation reproduced"));
-        assert!(sequential.contains("shrunk    :"));
-        assert!(sequential.contains("written   :"));
-        assert_eq!(run_line(&format!("replay {path} --shrink --jobs 4 --out {path}.min")).unwrap(), sequential);
+        let default_out = run_line(&format!("replay {path} --shrink")).unwrap();
+        assert!(default_out.contains("violation reproduced"));
+        assert!(default_out.contains("shrunk    :"));
+        assert!(default_out.contains("written   :"));
+        assert_eq!(
+            run_line(&format!("replay {path} --shrink --out {path}.min")).unwrap(),
+            default_out
+        );
         let replayed = run_line(&format!("replay {path}.min")).unwrap();
         assert!(replayed.contains("violation reproduced"));
         assert!(replayed.contains("meta      : shrunk-from ="));
 
-        // Flag hygiene: --jobs/--out without --shrink, unknown flags, and
+        // Flag hygiene: --out without --shrink, unknown flags, and
         // shrinking a passing schedule are all loud errors.
+        assert!(run_line(&format!("replay {path} --out {path}.min")).is_err());
         assert!(run_line(&format!("replay {path} --jobs 2")).is_err());
         assert!(run_line(&format!("replay {path} --turbo 9")).is_err());
     }

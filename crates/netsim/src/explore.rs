@@ -15,17 +15,17 @@
 //!
 //! Two things make the search fast without changing its answers:
 //!
-//! * **Parallelism** — [`ExploreConfig::jobs`] fans candidate runs out over
-//!   `std::thread::scope` workers. Speculative results are merged back in
-//!   the exact order the sequential loop would consume them, so reports,
-//!   counters and failing schedules are byte-identical at any job count.
+//! * **Parallel walks** — [`ExploreConfig::jobs`] fans the random walks
+//!   out over `std::thread::scope` workers and merges them back in walk
+//!   order, so reports, counters and failing schedules are byte-identical
+//!   at any job count. The DFS that follows runs sequentially.
 //! * **Checkpoint/fork** — systems that implement [`ForkSystem`] (cloneable
 //!   state, steppable runs) let the DFS snapshot a run at each branch point
 //!   and *fork* a sibling from the deepest cached checkpoint instead of
-//!   re-executing the shared prefix from scratch. Enabled by
-//!   [`ExploreConfig::checkpoint`]; the paranoid
-//!   [`ExploreConfig::verify_snapshots`] debug flag re-executes every run
-//!   from scratch as well and panics on any divergence.
+//!   re-executing the shared prefix from scratch ([`explore_fork`]). The
+//!   closure contract of [`explore`] is the from-scratch baseline; the
+//!   paranoid [`ExploreConfig::verify_snapshots`] debug flag re-executes
+//!   every forked run from scratch as well and panics on any divergence.
 //!
 //! A third lever, **dynamic partial-order reduction**
 //! ([`ExploreConfig::reduce`]), *does* change which schedules run — it
@@ -65,7 +65,6 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use crate::fault::{ByzantinePlan, ChurnPlan, FaultPlan, FaultScheduler};
 use crate::par;
@@ -104,18 +103,14 @@ pub struct ExploreConfig {
     /// The system factory is responsible for withholding the initial
     /// wake-ups of the plan's joiners, exactly as a driver would.
     pub churn: Option<(ChurnPlan, usize)>,
-    /// Worker threads for candidate runs. Results are byte-identical at
-    /// any value; `1` (the default) executes everything inline on the
-    /// caller's thread with no speculation.
+    /// Worker threads for the random-walk phase (the DFS phase runs on
+    /// the caller's thread). Results are byte-identical at any value; `1`
+    /// (the default) runs every walk inline too.
     pub jobs: usize,
-    /// Reuse DFS prefixes by forking checkpoints instead of re-executing
-    /// them (only effective for [`explore_fork`] systems; the closure
-    /// contract of [`explore`] always runs from scratch). On by default;
-    /// results are byte-identical either way.
-    pub checkpoint: bool,
-    /// Debug flag: additionally re-execute every checkpointed DFS run from
-    /// scratch and panic if the snapshot-resumed run diverges in result,
-    /// recorded schedule or branch counts.
+    /// Debug flag: additionally re-execute every checkpoint-forked DFS run
+    /// from scratch and panic if the forked run diverges in result,
+    /// recorded schedule or branch counts. Only [`explore_fork`] systems
+    /// fork; the closure contract of [`explore`] always runs from scratch.
     pub verify_snapshots: bool,
     /// Partial-order reduction applied to the DFS phase (the random-walk
     /// phase is sampling, not enumeration, and is never reduced). The
@@ -135,7 +130,6 @@ impl Default for ExploreConfig {
             byzantine: None,
             churn: None,
             jobs: 1,
-            checkpoint: true,
             verify_snapshots: false,
             reduce: ReduceMode::None,
         }
@@ -602,7 +596,7 @@ pub trait ForkSystem: Sync {
 }
 
 /// One in-flight run of a [`ForkSystem`].
-pub trait ForkRun: Send {
+pub trait ForkRun {
     /// Deep-copies the run state — the snapshot the DFS forks from.
     fn fork(&self) -> Box<dyn ForkRun>;
 
@@ -657,57 +651,10 @@ pub fn run_fork_system(system: &dyn ForkSystem, sched: &mut dyn Scheduler) -> Re
     result
 }
 
-/// Internal bridge between the two ways a system can be executed: as a
-/// factory-built closure (run to completion only) or as a forkable run.
-/// `run_full` also reports the terminal state digest when the execution
-/// path exposes one (forkable runs via [`ForkRun::state_digest`]; closures
-/// via whatever the recording wrapper captured, which the caller reads).
-trait Exec: Sync {
-    fn run_full(&self, sched: &mut dyn Scheduler) -> (Result<(), String>, Option<u64>);
-    fn forkable(&self) -> bool;
-    fn spawn_fork(&self, sched: &mut dyn Scheduler) -> Option<Box<dyn ForkRun>>;
-}
-
-struct FactoryExec<'a, F>(&'a F);
-
-impl<F, R> Exec for FactoryExec<'_, F>
-where
-    F: Fn() -> R + Sync,
-    R: FnMut(&mut dyn Scheduler) -> Result<(), String>,
-{
-    fn run_full(&self, sched: &mut dyn Scheduler) -> (Result<(), String>, Option<u64>) {
-        let mut run_one = (self.0)();
-        (run_one(sched), None)
-    }
-    fn forkable(&self) -> bool {
-        false
-    }
-    fn spawn_fork(&self, _sched: &mut dyn Scheduler) -> Option<Box<dyn ForkRun>> {
-        None
-    }
-}
-
-struct ForkExec<'a>(&'a dyn ForkSystem);
-
-impl Exec for ForkExec<'_> {
-    fn run_full(&self, sched: &mut dyn Scheduler) -> (Result<(), String>, Option<u64>) {
-        let mut run = self.0.spawn(sched);
-        let result = loop {
-            match run.step(sched) {
-                Err(reason) => break Err(reason),
-                Ok(false) => break run.check(),
-                Ok(true) => {}
-            }
-        };
-        (result, run.state_digest())
-    }
-    fn forkable(&self) -> bool {
-        true
-    }
-    fn spawn_fork(&self, sched: &mut dyn Scheduler) -> Option<Box<dyn ForkRun>> {
-        Some(self.0.spawn(sched))
-    }
-}
+/// One candidate run from scratch, to completion, property check
+/// included — what both entry points hand the engine. A run that exposes
+/// its terminal state digest reports it to the (recording) scheduler.
+type RunFull<'a> = dyn Fn(&mut dyn Scheduler) -> Result<(), String> + Sync + 'a;
 
 /// Searches schedules for a property violation.
 ///
@@ -717,10 +664,10 @@ impl Exec for ForkExec<'_> {
 /// violation (requirements, budgets, livelock, a fixture invariant, …).
 /// Determinism of the runs given the choice sequence is what makes the
 /// returned schedule replayable. The factory is shared across worker
-/// threads (hence `Sync`); with [`ExploreConfig::jobs`] `> 1` candidate
-/// runs execute speculatively in parallel, but outcomes are consumed in
-/// the exact sequential order, so the report, counters and any failing
-/// schedule are byte-identical at every job count.
+/// threads (hence `Sync`); with [`ExploreConfig::jobs`] `> 1` the random
+/// walks execute in parallel, but their outcomes are consumed in walk
+/// order, so the report, counters and any failing schedule are
+/// byte-identical at every job count.
 ///
 /// The search runs `config.random_walks` seeded random schedules, then up
 /// to `config.dfs_budget` DFS schedules enumerating the first
@@ -735,19 +682,29 @@ where
     F: Fn() -> R + Sync,
     R: FnMut(&mut dyn Scheduler) -> Result<(), String>,
 {
-    explore_engine(config, &FactoryExec(&factory))
+    explore_engine(
+        config,
+        &|sched: &mut dyn Scheduler| {
+            let mut run_one = factory();
+            run_one(sched)
+        },
+        None,
+    )
 }
 
 /// [`explore`] for [`ForkSystem`] implementors: identical search order and
-/// results, but with [`ExploreConfig::checkpoint`] enabled the DFS phase
-/// forks each run from the deepest cached branch-point snapshot instead of
-/// re-executing its shared prefix from scratch.
+/// results, but the DFS phase forks each run from the deepest cached
+/// branch-point snapshot instead of re-executing its shared prefix from
+/// scratch.
 pub fn explore_fork(config: &ExploreConfig, system: &dyn ForkSystem) -> ExploreReport {
-    explore_engine(config, &ForkExec(system))
+    explore_engine(
+        config,
+        &|sched: &mut dyn Scheduler| run_fork_system(system, sched),
+        Some(system),
+    )
 }
 
-/// Outcome of one executed candidate prefix, cached until the sequential
-/// consumption order reaches it.
+/// Outcome of one executed DFS candidate prefix.
 struct PrefixOutcome {
     result: Result<(), String>,
     schedule: Schedule,
@@ -790,7 +747,14 @@ struct Checkpoint {
     sched: RecordingScheduler<FaultScheduler<DfsScheduler>>,
 }
 
-fn explore_engine(config: &ExploreConfig, exec: &dyn Exec) -> ExploreReport {
+/// The search itself. `run_full` executes a candidate from scratch;
+/// `fork`, when the system has one, lets the DFS fork runs from
+/// checkpoints instead.
+fn explore_engine(
+    config: &ExploreConfig,
+    run_full: &RunFull<'_>,
+    fork: Option<&dyn ForkSystem>,
+) -> ExploreReport {
     let jobs = config.jobs.max(1);
     let mut report = ExploreReport::default();
 
@@ -798,9 +762,9 @@ fn explore_engine(config: &ExploreConfig, exec: &dyn Exec) -> ExploreReport {
     // applied unconditionally (it is transparent without a plan); with a
     // plan, each walk also re-seeds the fault RNG so the walk phase
     // explores fault placements, not just interleavings. Walks execute in
-    // index-ordered batches: workers run them speculatively, the merge
-    // consumes them in order and stops at the first failure, exactly like
-    // the sequential loop.
+    // index-ordered batches: workers run a batch in parallel, the merge
+    // consumes it in order and stops at the first failure, exactly like
+    // the sequential loop (walks of the batch past a failure are dropped).
     let mut next_walk = 0u64;
     while next_walk < config.random_walks {
         let remaining = config.random_walks - next_walk;
@@ -821,8 +785,8 @@ fn explore_engine(config: &ExploreConfig, exec: &dyn Exec) -> ExploreReport {
                     fault_seed,
                 ),
             ));
-            let (result, digest) = exec.run_full(&mut sched);
-            let digest = digest.or_else(|| sched.terminal_digest());
+            let result = run_full(&mut sched);
+            let digest = sched.terminal_digest();
             (seed, result, digest, sched.into_schedule())
         });
         for (seed, result, digest, schedule) in outcomes {
@@ -848,16 +812,8 @@ fn explore_engine(config: &ExploreConfig, exec: &dyn Exec) -> ExploreReport {
     // enqueued after running `p` are exactly the prefixes
     // `p + [0]*k + [i]` (`i ≥ 1`, within the observed branching factor):
     // every decision path through the first `dfs_depth` steps is generated
-    // exactly once.
-    //
-    // Parallelism never reorders the search: workers speculatively execute
-    // *waves* of prefixes already sitting on the stack (execution of a
-    // prefix is a pure function of the prefix), the outcomes land in a
-    // cache, and this loop then replays the exact sequential pop / count /
-    // push-children discipline against the cache — so the stack evolution,
-    // run counters and first failure match the sequential engine choice
-    // for choice. Speculative runs past a failure or the budget are
-    // discarded unconsumed.
+    // exactly once. Each popped prefix runs inline: one run per popped
+    // prefix, none wasted at a failure or at budget exhaustion.
     let reduce = config.reduce == ReduceMode::Sleep;
     // Branch-state dedup matches nodes purely on (depth, runner state,
     // pending set). Fault, Byzantine and churn plans carry extra run state
@@ -873,48 +829,15 @@ fn explore_engine(config: &ExploreConfig, exec: &dyn Exec) -> ExploreReport {
     // only by an expansion that slept no *more* than it would).
     let mut seen: HashMap<(usize, u64, u64), Vec<Vec<Choice>>> = HashMap::new();
 
-    let checkpoints: Mutex<HashMap<Vec<usize>, Checkpoint>> = Mutex::new(HashMap::new());
-    let mut cache: HashMap<Vec<usize>, PrefixOutcome> = HashMap::new();
+    let mut checkpoints: HashMap<Vec<usize>, Checkpoint> = HashMap::new();
     // Stack entries pair each candidate prefix with the sleep set of the
     // branch node it starts from (always empty outside reduce mode, and
     // irrelevant to *executing* the prefix — only child generation reads
-    // it, in this sequential loop, which keeps every job count
-    // byte-identical).
+    // it).
     let mut stack: Vec<(Vec<usize>, Vec<Choice>)> = vec![(Vec::new(), Vec::new())];
     while report.dfs_runs < config.dfs_budget {
         let Some((prefix, sleep0)) = stack.pop() else { break };
-        if !cache.contains_key(&prefix) {
-            let remaining = (config.dfs_budget - report.dfs_runs) as usize;
-            // Speculation-debt throttle: a speculated outcome is only
-            // *useful* once the sequential order consumes it, and during a
-            // deep dive freshly-pushed children keep preempting the
-            // speculated stack entries. Capping the number of cached
-            // outcomes bounds how much speculative work can sit unconsumed
-            // (and be discarded at budget exhaustion); a throttled wave
-            // degenerates to the popped prefix alone, which runs inline.
-            let headroom = (jobs * 4).saturating_sub(cache.len());
-            let wave_cap = if jobs <= 1 {
-                1
-            } else {
-                (jobs * 4).min(remaining).min(1 + headroom)
-            };
-            let mut targets: Vec<Vec<usize>> = vec![prefix.clone()];
-            for (p, _) in stack.iter().rev() {
-                if targets.len() >= wave_cap {
-                    break;
-                }
-                if !cache.contains_key(p) {
-                    targets.push(p.clone());
-                }
-            }
-            let outcomes = par::parallel_map(jobs, targets.clone(), |p| {
-                run_prefix(exec, config, &p, &checkpoints)
-            });
-            for (p, outcome) in targets.into_iter().zip(outcomes) {
-                cache.insert(p, outcome);
-            }
-        }
-        let outcome = cache.remove(&prefix).expect("wave cached the popped prefix");
+        let outcome = run_prefix(run_full, fork, config, &prefix, &mut checkpoints);
         report.dfs_runs += 1;
         report.runs += 1;
         if let Err(reason) = outcome.result {
@@ -1031,55 +954,67 @@ fn explore_engine(config: &ExploreConfig, exec: &dyn Exec) -> ExploreReport {
 /// Executes one DFS candidate prefix and returns its outcome.
 ///
 /// Forkable systems resume from the deepest cached checkpoint on the
-/// prefix's decision path (when `config.checkpoint` allows); everything
-/// else runs from scratch. Either way the outcome is identical — which
-/// `config.verify_snapshots` double-checks by also running from scratch.
+/// prefix's decision path; everything else runs from scratch. Either way
+/// the outcome is identical — which `config.verify_snapshots`
+/// double-checks by also running every forked prefix from scratch.
 fn run_prefix(
-    exec: &dyn Exec,
+    run_full: &RunFull<'_>,
+    fork: Option<&dyn ForkSystem>,
     config: &ExploreConfig,
     prefix: &[usize],
-    checkpoints: &Mutex<HashMap<Vec<usize>, Checkpoint>>,
+    checkpoints: &mut HashMap<Vec<usize>, Checkpoint>,
 ) -> PrefixOutcome {
-    if config.checkpoint && exec.forkable() {
-        let out = run_prefix_forked(exec, config, prefix, checkpoints, true);
-        if config.verify_snapshots {
-            let scratch = run_prefix_forked(exec, config, prefix, checkpoints, false);
-            assert!(
-                scratch.result == out.result
-                    && scratch.schedule == out.schedule
-                    && scratch.branch_counts == out.branch_counts
-                    && scratch.branch_obs == out.branch_obs
-                    && scratch.terminal_digest == out.terminal_digest,
-                "snapshot/replay divergence at dfs prefix {prefix:?}:\n\
-                 resumed:  {:?} / {:?} / {:?} / {}\n\
-                 scratch:  {:?} / {:?} / {:?} / {}",
-                out.result,
-                out.branch_counts,
-                out.terminal_digest,
-                out.schedule.to_text(),
-                scratch.result,
-                scratch.branch_counts,
-                scratch.terminal_digest,
-                scratch.schedule.to_text(),
-            );
-        }
-        return out;
+    let Some(system) = fork else {
+        return run_prefix_scratch(run_full, config, prefix);
+    };
+    let out = run_prefix_forked(system, config, prefix, checkpoints);
+    if config.verify_snapshots {
+        let scratch = run_prefix_scratch(run_full, config, prefix);
+        assert!(
+            scratch.result == out.result
+                && scratch.schedule == out.schedule
+                && scratch.branch_counts == out.branch_counts
+                && scratch.branch_obs == out.branch_obs
+                && scratch.terminal_digest == out.terminal_digest,
+            "snapshot/replay divergence at dfs prefix {prefix:?}:\n\
+             resumed:  {:?} / {:?} / {:?} / {}\n\
+             scratch:  {:?} / {:?} / {:?} / {}",
+            out.result,
+            out.branch_counts,
+            out.terminal_digest,
+            out.schedule.to_text(),
+            scratch.result,
+            scratch.branch_counts,
+            scratch.terminal_digest,
+            scratch.schedule.to_text(),
+        );
     }
+    out
+}
+
+/// The scheduler stack every DFS run executes under: the prefix-following
+/// DFS scheduler inside the fault layer, recorded.
+fn dfs_sched(
+    config: &ExploreConfig,
+    prefix: &[usize],
+) -> RecordingScheduler<FaultScheduler<DfsScheduler>> {
     let dfs = if config.reduce == ReduceMode::Sleep {
         DfsScheduler::reduced(prefix.to_vec(), config.dfs_depth)
     } else {
         DfsScheduler::new(prefix.to_vec(), config.dfs_depth)
     };
-    let mut sched = RecordingScheduler::new(attach_plans(
+    RecordingScheduler::new(attach_plans(
         config,
         FaultScheduler::new(dfs, config.fault.clone()),
-    ));
-    let (result, digest) = exec.run_full(&mut sched);
-    let terminal_digest = if config.reduce == ReduceMode::Sleep {
-        digest.or_else(|| sched.terminal_digest())
-    } else {
-        None
-    };
+    ))
+}
+
+/// Packages a finished DFS run's scheduler stack as its outcome.
+fn prefix_outcome(
+    result: Result<(), String>,
+    sched: RecordingScheduler<FaultScheduler<DfsScheduler>>,
+    terminal_digest: Option<u64>,
+) -> PrefixOutcome {
     let (fault_sched, schedule) = sched.into_parts();
     PrefixOutcome {
         result,
@@ -1090,20 +1025,33 @@ fn run_prefix(
     }
 }
 
-/// The checkpoint/fork execution path for one DFS prefix.
-///
-/// With `reuse`, the run starts from the deepest checkpoint whose key is a
-/// proper prefix of this run's decision path, and snapshots every new
-/// branch point it passes (decision positions in `[prefix.len(), depth)`
-/// with more than one pending event — exactly the positions children fork
-/// at). Without `reuse` it executes from scratch and stores nothing (the
-/// comparison arm of the snapshot-equivalence check).
-fn run_prefix_forked(
-    exec: &dyn Exec,
+/// The from-scratch execution path for one DFS prefix.
+fn run_prefix_scratch(
+    run_full: &RunFull<'_>,
     config: &ExploreConfig,
     prefix: &[usize],
-    checkpoints: &Mutex<HashMap<Vec<usize>, Checkpoint>>,
-    reuse: bool,
+) -> PrefixOutcome {
+    let mut sched = dfs_sched(config, prefix);
+    let result = run_full(&mut sched);
+    let terminal_digest = if config.reduce == ReduceMode::Sleep {
+        sched.terminal_digest()
+    } else {
+        None
+    };
+    prefix_outcome(result, sched, terminal_digest)
+}
+
+/// The checkpoint/fork execution path for one DFS prefix.
+///
+/// The run starts from the deepest checkpoint whose key is a proper prefix
+/// of this run's decision path, and snapshots every new branch point it
+/// passes (decision positions in `[prefix.len(), depth)` with more than
+/// one pending event — exactly the positions children fork at).
+fn run_prefix_forked(
+    system: &dyn ForkSystem,
+    config: &ExploreConfig,
+    prefix: &[usize],
+    checkpoints: &mut HashMap<Vec<usize>, Checkpoint>,
 ) -> PrefixOutcome {
     let depth = config.dfs_depth;
     // A run with prefix `p` at decision `d ≥ p.len()` sits on decision
@@ -1114,36 +1062,16 @@ fn run_prefix_forked(
         key
     };
 
-    let mut resumed = None;
-    if reuse && !prefix.is_empty() {
-        let map = checkpoints.lock().expect("checkpoint map lock");
-        for cut in (0..prefix.len()).rev() {
-            if let Some(cp) = map.get(&prefix[..cut]) {
-                let mut sched = cp.sched.clone();
-                sched.inner_mut().inner_mut().set_prefix(prefix.to_vec());
-                resumed = Some((cp.run.fork(), sched));
-                break;
-            }
-        }
-    }
-    let (mut run, mut sched) = match resumed {
-        Some(state) => state,
-        None => {
-            let dfs = if config.reduce == ReduceMode::Sleep {
-                DfsScheduler::reduced(prefix.to_vec(), depth)
-            } else {
-                DfsScheduler::new(prefix.to_vec(), depth)
-            };
-            let mut sched = RecordingScheduler::new(attach_plans(
-                config,
-                FaultScheduler::new(dfs, config.fault.clone()),
-            ));
-            let run = exec
-                .spawn_fork(&mut sched)
-                .expect("forked execution requires a forkable system");
-            (run, sched)
-        }
-    };
+    let resumed = (0..prefix.len()).rev().find_map(|cut| {
+        let cp = checkpoints.get(&prefix[..cut])?;
+        let mut sched = cp.sched.clone();
+        sched.inner_mut().inner_mut().set_prefix(prefix.to_vec());
+        Some((cp.run.fork(), sched))
+    });
+    let (mut run, mut sched) = resumed.unwrap_or_else(|| {
+        let mut sched = dfs_sched(config, prefix);
+        (system.spawn(&mut sched), sched)
+    });
 
     let result = loop {
         let d = sched.inner().inner().decisions();
@@ -1154,13 +1082,9 @@ fn run_prefix_forked(
         // branch) are worth keeping, and only the first run through a
         // given path stores it.
         let mut snapshot = None;
-        if reuse && d >= prefix.len() && d < depth && sched.inner().inner().pending() > 1 {
+        if d >= prefix.len() && d < depth && sched.inner().inner().pending() > 1 {
             let key = key_for(d);
-            let present = checkpoints
-                .lock()
-                .expect("checkpoint map lock")
-                .contains_key(&key);
-            if !present {
+            if !checkpoints.contains_key(&key) {
                 snapshot = Some((
                     key,
                     Checkpoint {
@@ -1179,11 +1103,7 @@ fn run_prefix_forked(
                     // a DFS decision (the choice could have been served by
                     // the fault layer instead).
                     if sched.inner().inner().decisions() == d + 1 {
-                        checkpoints
-                            .lock()
-                            .expect("checkpoint map lock")
-                            .entry(key)
-                            .or_insert(checkpoint);
+                        checkpoints.insert(key, checkpoint);
                     }
                 }
             }
@@ -1194,14 +1114,7 @@ fn run_prefix_forked(
     } else {
         None
     };
-    let (fault_sched, schedule) = sched.into_parts();
-    PrefixOutcome {
-        result,
-        schedule,
-        branch_counts: fault_sched.inner().branch_counts().to_vec(),
-        branch_obs: fault_sched.inner().branch_obs().to_vec(),
-        terminal_digest,
-    }
+    prefix_outcome(result, sched, terminal_digest)
 }
 
 fn failure(
@@ -1827,6 +1740,7 @@ mod tests {
     use crate::record::ReplayScheduler;
     use crate::FifoScheduler;
     use std::collections::VecDeque;
+    use std::sync::Mutex;
 
     #[test]
     fn fixture_is_clean_under_fifo() {
@@ -2236,13 +2150,13 @@ mod tests {
             fault: None,
             ..ExploreConfig::default()
         };
-        let scratch = explore_fork(
-            &ExploreConfig {
-                checkpoint: false,
-                ..base.clone()
-            },
-            &fixtures::RacySystem::new(3),
-        );
+        // The closure contract over the same system is the from-scratch
+        // baseline the forked search must match.
+        let system = fixtures::RacySystem::new(3);
+        let scratch = explore(&base, || {
+            |sched: &mut dyn Scheduler| run_fork_system(&system, sched)
+        });
+        let forked = explore_fork(&base, &system);
         // verify_snapshots re-executes every resumed run from scratch and
         // panics on divergence — running it is the equivalence check.
         let checked = explore_fork(
@@ -2250,8 +2164,9 @@ mod tests {
                 verify_snapshots: true,
                 ..base
             },
-            &fixtures::RacySystem::new(3),
+            &system,
         );
+        assert_eq!(report_fingerprint(&scratch), report_fingerprint(&forked));
         assert_eq!(report_fingerprint(&scratch), report_fingerprint(&checked));
     }
 
@@ -2362,13 +2277,11 @@ mod tests {
             reduce: ReduceMode::Sleep,
             ..ExploreConfig::default()
         };
-        let scratch = explore_fork(
-            &ExploreConfig {
-                checkpoint: false,
-                ..base.clone()
-            },
-            &fixtures::RacySystem::tolerant(3),
-        );
+        let system = fixtures::RacySystem::tolerant(3);
+        let scratch = explore(&base, || {
+            |sched: &mut dyn Scheduler| run_fork_system(&system, sched)
+        });
+        let forked = explore_fork(&base, &system);
         // verify_snapshots also re-runs every resumed run from scratch and
         // panics on any divergence, including in the reduce-mode branch
         // observations and terminal digests.
@@ -2377,8 +2290,9 @@ mod tests {
                 verify_snapshots: true,
                 ..base
             },
-            &fixtures::RacySystem::tolerant(3),
+            &system,
         );
+        assert_eq!(report_fingerprint(&scratch), report_fingerprint(&forked));
         assert_eq!(report_fingerprint(&scratch), report_fingerprint(&checked));
     }
 

@@ -1,12 +1,11 @@
 //! Scoped worker-pool parallel map with input-order merging.
 //!
-//! The explorer and shrinker fan speculative simulation runs out over
-//! `std::thread::scope` workers, then consume the results **in input
-//! order** — the same seed-order-merge discipline the bench harness uses —
-//! so the merged outcome is byte-identical at any job count. This module
-//! is the one primitive they share: apply a `Sync` function to every item
-//! of a batch, on up to `jobs` threads, and hand the results back in the
-//! order the items went in.
+//! Apply a `Sync` function to every item of a batch, on up to `jobs`
+//! `std::thread::scope` workers, and hand the results back **in the order
+//! the items went in** — so a caller that consumes them in that order gets
+//! byte-identical output at any job count. The explorer runs its random
+//! walks through it; the bench harness's trial sweeps and the CLI's
+//! multi-seed commands use it too.
 //!
 //! With `jobs <= 1` (or a single item) no thread is spawned at all: the
 //! map runs inline on the caller's thread, so sequential users pay nothing.

@@ -16,13 +16,10 @@
 //! so the minimized schedule is always strict-replayable — what you check
 //! into a corpus replays byte-for-byte.
 //!
-//! [`shrink_jobs`] evaluates each round's candidate removals speculatively
-//! on worker threads but consumes the outcomes in the exact order the
-//! sequential loop would, accepting the same candidate it would accept —
-//! the result (schedule, reason, even the `attempts` counter) is
-//! byte-identical at any job count.
+//! Candidates run one at a time, on the caller's thread: the explorer's
+//! finds shrink in tens of candidate runs, so there is nothing to
+//! parallelise.
 
-use crate::par;
 use crate::record::{RecordingScheduler, ReplayScheduler, Schedule};
 use crate::scheduler::{Choice, Scheduler};
 
@@ -35,9 +32,8 @@ pub struct ShrinkResult {
     pub reason: String,
     /// Choice count of the input schedule.
     pub original_len: usize,
-    /// Number of candidate schedules executed during minimization (counting
-    /// only candidates the sequential order consumed, so the number is
-    /// identical at any job count).
+    /// Number of candidate schedules executed during minimization,
+    /// including the initial validation run.
     pub attempts: u64,
 }
 
@@ -70,25 +66,9 @@ impl ShrinkResult {
 /// passing schedule indicates a non-deterministic `run_one`.
 pub fn shrink<F, R>(schedule: &Schedule, factory: F) -> ShrinkResult
 where
-    F: Fn() -> R + Sync,
+    F: Fn() -> R,
     R: FnMut(&mut dyn Scheduler) -> Result<(), String>,
 {
-    shrink_jobs(schedule, 1, factory)
-}
-
-/// [`shrink`] with `jobs` worker threads evaluating each ddmin round's
-/// candidate removals speculatively. The accepted candidates, the final
-/// schedule and every counter are byte-identical to `jobs = 1`.
-///
-/// # Panics
-///
-/// Panics if `schedule` does not fail under `run_one` (see [`shrink`]).
-pub fn shrink_jobs<F, R>(schedule: &Schedule, jobs: usize, factory: F) -> ShrinkResult
-where
-    F: Fn() -> R + Sync,
-    R: FnMut(&mut dyn Scheduler) -> Result<(), String>,
-{
-    let jobs = jobs.max(1);
     // Runs a candidate leniently; on failure returns the re-recorded
     // (normalized) sequence, the failure reason and the terminal-state
     // digest of the candidate run (when the system reports one).
@@ -110,44 +90,20 @@ where
         let mut shrunk_this_pass = false;
         let mut start = 0;
         while start < best.len() {
-            // Speculative batch: the candidates the sequential loop would
-            // try next, in order — removals at start, start + chunk, … of
-            // the *current* best. Outcomes are consumed in that order; an
-            // acceptance invalidates the rest of the batch (they were cut
-            // from a stale baseline), so they are discarded unconsumed and
-            // the next batch is cut from the new best at the same start.
-            let batch_cap = if jobs <= 1 { 1 } else { jobs * 2 };
-            let mut starts = Vec::with_capacity(batch_cap);
-            let mut s = start;
-            while s < best.len() && starts.len() < batch_cap {
-                starts.push(s);
-                s += chunk;
-            }
-            let candidates: Vec<Vec<Choice>> = starts
-                .iter()
-                .map(|&s| {
-                    let end = (s + chunk).min(best.len());
-                    let mut candidate = Vec::with_capacity(best.len() - (end - s));
-                    candidate.extend_from_slice(&best[..s]);
-                    candidate.extend_from_slice(&best[end..]);
-                    candidate
-                })
-                .collect();
-            let outcomes = par::parallel_map(jobs, candidates, |c| try_choices(&c));
-            for (s, outcome) in starts.into_iter().zip(outcomes) {
-                attempts += 1;
-                match outcome {
-                    Some((normalized, r, d)) if normalized.len() < best.len() => {
-                        best = normalized;
-                        reason = r;
-                        digest = d;
-                        shrunk_this_pass = true;
-                        // Re-test the same position: the slice shifted left.
-                        start = s;
-                        break;
-                    }
-                    _ => start = (s + chunk).min(best.len()),
+            let end = (start + chunk).min(best.len());
+            let mut candidate = Vec::with_capacity(best.len() - (end - start));
+            candidate.extend_from_slice(&best[..start]);
+            candidate.extend_from_slice(&best[end..]);
+            attempts += 1;
+            match try_choices(&candidate) {
+                // Re-test the same position: the slice shifted left.
+                Some((normalized, r, d)) if normalized.len() < best.len() => {
+                    best = normalized;
+                    reason = r;
+                    digest = d;
+                    shrunk_this_pass = true;
                 }
+                _ => start = end,
             }
         }
         if chunk == 1 {
@@ -258,22 +214,6 @@ mod tests {
             Some(result.original_len.to_string().as_str())
         );
         assert!(result.attempts > 0);
-    }
-
-    #[test]
-    fn parallel_shrink_is_byte_identical_to_sequential() {
-        let schedule = find_failure(4);
-        let sequential = shrink_jobs(&schedule, 1, || {
-            |sched: &mut dyn Scheduler| fixtures::run_racy(4, sched)
-        });
-        for jobs in [2, 4, 8] {
-            let parallel = shrink_jobs(&schedule, jobs, || {
-                |sched: &mut dyn Scheduler| fixtures::run_racy(4, sched)
-            });
-            assert_eq!(parallel.schedule, sequential.schedule, "jobs={jobs}");
-            assert_eq!(parallel.reason, sequential.reason, "jobs={jobs}");
-            assert_eq!(parallel.attempts, sequential.attempts, "jobs={jobs}");
-        }
     }
 
     #[test]

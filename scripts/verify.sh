@@ -22,7 +22,9 @@
 # the pinned snapshot scripts/dpor-smoke.snapshot (regenerate with
 # --regen-dpor), then a large-n FIFO smoke: an n=100000 discovery under
 # the FIFO scheduler diffed against scripts/fifo-smoke.snapshot
-# (regenerate with --regen-fifo). See docs/testing.md for the tiers.
+# (regenerate with --regen-fifo), then schema checks of the checked-in
+# BENCH_throughput.json and BENCH_explore.json. See docs/testing.md for
+# the tiers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -209,6 +211,15 @@ fi
 for key in '"payload_bytes_per_event"' '"payload_peak_bytes"'; do
     if ! grep -q "$key" BENCH_throughput.json; then
         echo "verify: BENCH_throughput.json is missing the $key key" >&2
+        echo "verify: regenerate it with scripts/bench.sh" >&2
+        exit 1
+    fi
+done
+# The explorer JSON must carry its scratch and checkpoint rows and the
+# partial-order-reduction section.
+for key in '"mode": "scratch"' '"mode": "checkpoint"' '"reduction"'; do
+    if ! grep -qF "$key" BENCH_explore.json; then
+        echo "verify: BENCH_explore.json is missing $key" >&2
         echo "verify: regenerate it with scripts/bench.sh" >&2
         exit 1
     fi

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use asynchronous_resource_discovery::core::{ByzantineDiscovery, Variant};
 use asynchronous_resource_discovery::graph::gen;
 use asynchronous_resource_discovery::netsim::explore::{
-    explore, explore_fork, fixtures, ExploreConfig, ReduceMode,
+    explore, explore_fork, fixtures, run_fork_system, ExploreConfig, ReduceMode,
 };
 use asynchronous_resource_discovery::netsim::shrink::shrink;
 use asynchronous_resource_discovery::netsim::{
@@ -151,16 +151,22 @@ fn reduced_reports_are_byte_identical_at_any_jobs_and_checkpointing() {
         .meta("terminal-digest")
         .expect("reduced failures carry a digest")
         .to_string();
+    // Every job count, with checkpoint/fork prefix reuse and through the
+    // from-scratch closure contract.
+    let system = fixtures::RacySystem::new(3);
     for jobs in [2usize, 4, 8] {
         for checkpoint in [false, true] {
-            let report = explore_fork(
-                &ExploreConfig {
-                    jobs,
-                    checkpoint,
-                    ..base.clone()
-                },
-                &fixtures::RacySystem::new(3),
-            );
+            let config = ExploreConfig {
+                jobs,
+                ..base.clone()
+            };
+            let report = if checkpoint {
+                explore_fork(&config, &system)
+            } else {
+                explore(&config, || {
+                    |s: &mut dyn Scheduler| run_fork_system(&system, s)
+                })
+            };
             assert_eq!(report.runs, reference.runs, "jobs={jobs} ckpt={checkpoint}");
             assert_eq!(
                 report.sleep_pruned, reference.sleep_pruned,
