@@ -1,20 +1,15 @@
 //! Subcommand implementations.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use ard_core::{
-    budgets, byzantine_meta, churn_meta, ByzantineDiscovery, Discovery, FaultyDiscovery, Variant,
-};
+use ard_core::{Adversary, Discovery, Network, Variant};
 use ard_lower_bounds::{tree_adversary, uf_reduction};
 use ard_netsim::explore::{
     explore, explore_fork, fixtures, ExploreConfig, ExploreReport, ReduceMode,
 };
 use ard_netsim::shrink::shrink;
-use ard_netsim::{
-    ByzantinePlan, ChurnPlan, FaultPlan, NodeId, RandomScheduler, ReplayScheduler, Schedule,
-    Scheduler,
-};
+use ard_netsim::{NodeId, RandomScheduler, ReplayScheduler, Schedule, Scheduler};
 use ard_overlay::{bootstrap, Key};
 use ard_union_find::{alpha, OpSequence};
 
@@ -66,7 +61,8 @@ commands:
              --churn rate=R[,seed=S]
                            withhold ⌈R·n⌉ initial wake-ups and replay them
                            as scheduled joins, with as many departures
-             --record PATH write the recorded fault schedule for replay
+             --record PATH write the recorded schedule (faults, forgeries
+                           and churn included) for `ard replay`
              --sweep T     run T independent trials (scheduler seeds S,
                            S+1, …; needs --scheduler random[:S]), one
                            summary line each
@@ -250,6 +246,29 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
+/// Parses `--faults` / `--byzantine` / `--churn` into the run's adversary.
+fn adversary_flags(flags: &HashMap<String, String>, n: usize) -> Result<Adversary, CliError> {
+    Adversary::parse(
+        flags.get("faults").map(String::as_str),
+        flags.get("byzantine").map(String::as_str),
+        flags.get("churn").map(String::as_str),
+        n,
+    )
+    .map_err(|e| CliError(format!("invalid specification: {e}")))
+}
+
+/// Renders a guarantee verdict: `survives` or the failure it degraded to.
+fn verdict(check: &Result<(), String>) -> String {
+    match check {
+        Ok(()) => "survives".to_string(),
+        Err(reason) => format!("FAILS: {reason}"),
+    }
+}
+
+/// Runs one discovery under the adversary the flags describe. Honest and
+/// faulty runs fail on a broken requirement or budget; Byzantine and churn
+/// runs report which guarantees survive instead. `--record` writes the
+/// recorded schedule, injected events included, for `ard replay`.
 fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
     let topology = flags
         .get("topology")
@@ -257,7 +276,7 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
         .unwrap_or("random:n=64,extra=128");
     let variant = spec::parse_variant(flags.get("variant").map(String::as_str).unwrap_or("adhoc"))?;
     let graph = spec::parse_topology(topology)?;
-    let mut sched = spec::parse_scheduler(
+    let sched = spec::parse_scheduler(
         flags
             .get("scheduler")
             .map(String::as_str)
@@ -265,34 +284,18 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
     )?;
     let trace_limit = flag_usize(&flags, "trace", 0)?;
     let want_stats = flags.contains_key("stats");
+    let adversary = adversary_flags(&flags, graph.len())?;
 
-    if flags.contains_key("byzantine") || flags.contains_key("churn") {
-        for incompatible in [
-            "faults", "sweep", "trace", "stats", "dot", "max-steps", "jobs",
-        ] {
-            if flags.contains_key(incompatible) {
-                return Err(CliError(format!(
-                    "--byzantine/--churn run the bare protocol and report guarantee \
-                     survival: drop --{incompatible}"
-                )));
-            }
-        }
-        let byz = flags
-            .get("byzantine")
-            .map(|s| spec::parse_byzantine(s))
-            .transpose()?;
-        let churn = flags.get("churn").map(|s| spec::parse_churn(s)).transpose()?;
-        return discover_byzantine(
-            &flags,
-            topology,
-            variant,
-            &graph,
-            byz.as_ref(),
-            churn.as_ref(),
-            sched,
-        );
+    let unsupported: &[&str] = match adversary {
+        Adversary::Honest => &[],
+        Adversary::Faults(_) => &["trace", "stats", "dot"],
+        Adversary::Byzantine { .. } => &["sweep", "trace", "stats", "dot", "max-steps", "jobs"],
+    };
+    if let Some(flag) = unsupported.iter().find(|flag| flags.contains_key(**flag)) {
+        return Err(CliError(format!(
+            "--{flag} is not supported together with --faults/--byzantine/--churn"
+        )));
     }
-
     if flags.contains_key("sweep") {
         if trace_limit > 0
             || want_stats
@@ -311,225 +314,135 @@ fn discover(flags: HashMap<String, String>) -> Result<String, CliError> {
     if flags.contains_key("jobs") {
         return Err(CliError("--jobs needs --sweep".into()));
     }
-    if let Some(fault_spec) = flags.get("faults") {
-        if trace_limit > 0 || want_stats || flags.contains_key("dot") {
-            return Err(CliError(
-                "--trace/--stats/--dot are not supported together with --faults".into(),
-            ));
-        }
-        let plan = spec::parse_faults(fault_spec, graph.len())?;
-        return discover_faulty(&flags, topology, variant, &graph, &plan, sched);
-    }
-    if flags.contains_key("record") {
-        return Err(CliError("--record needs --faults".into()));
-    }
 
-    let mut d = Discovery::new(&graph, variant);
-    if trace_limit > 0 || want_stats {
-        d.runner_mut().enable_trace();
+    let n = graph.len();
+    let mut net = Network::new(&graph, variant, &adversary);
+    if let Network::Bare(d) = &mut net {
+        if trace_limit > 0 || want_stats {
+            d.runner_mut().enable_trace();
+        }
     }
     let budget = match flags.get("max-steps") {
         Some(v) => v
             .parse::<u64>()
             .map_err(|_| CliError(format!("--max-steps: `{v}` is not a number")))?,
-        None => d.default_step_budget(),
+        None => adversary.step_budget(n),
     };
-    d.enqueue_wake_all(sched.as_mut());
-    let steps = d
-        .runner_mut()
-        .run(sched.as_mut(), budget)
-        .map_err(|e| CliError(format!("simulation failed: {e}")))?;
-    let mut outcome = d.outcome();
-    outcome.steps = steps;
-    d.check_requirements(&graph)
-        .map_err(|e| CliError(format!("requirements violated: {e}")))?;
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "topology  : {topology} ({} nodes, {} edges)",
-        graph.len(),
-        graph.edge_count()
-    )
-    .unwrap();
-    writeln!(out, "variant   : {variant}").unwrap();
-    writeln!(out, "leaders   : {:?}", outcome.leaders).unwrap();
-    writeln!(out, "steps     : {}", outcome.steps).unwrap();
-    writeln!(out, "requirements: satisfied").unwrap();
-    write!(out, "{}", outcome.metrics).unwrap();
-    if trace_limit > 0 {
-        writeln!(out, "trace:").unwrap();
-        write!(
-            out,
-            "{}",
-            d.runner().trace().expect("enabled").render(trace_limit)
-        )
-        .unwrap();
-    }
-    if want_stats {
-        let stats = d.runner().trace().expect("enabled").stats();
-        writeln!(out, "traffic hot spots:").unwrap();
-        for (node, count) in stats.top_senders(5) {
-            writeln!(out, "  {node:<6} sent {count} messages").unwrap();
+    let result = match flags.get("record") {
+        Some(path) => {
+            let (result, mut schedule) = net.record(&adversary, sched, budget);
+            schedule.set_meta("topology", topology.to_string());
+            std::fs::write(path, schedule.to_text())
+                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+            result
         }
-        if let Some(((src, dst), count)) = stats.busiest_link() {
-            writeln!(out, "  busiest link: {src} → {dst} ({count} messages)").unwrap();
+        None => net.run(&adversary, adversary.scheduler(sched, n).as_mut(), budget),
+    };
+    let report = result.map_err(|e| CliError(format!("simulation failed: {e}")))?;
+    let outcome = &report.outcome;
+
+    let mut out = String::new();
+    writeln!(
+        out,
+        "topology  : {topology} ({} nodes, {} edges)",
+        graph.len(),
+        graph.edge_count()
+    )
+    .unwrap();
+    writeln!(out, "variant   : {variant}").unwrap();
+    let meta = adversary.meta();
+    let meta_value = |key: &str| {
+        meta.iter()
+            .find(|(k, _)| *k == key)
+            .map_or("(none)".to_string(), |(_, v)| v.clone())
+    };
+    match &adversary {
+        Adversary::Honest => {}
+        Adversary::Faults(_) => writeln!(out, "faults    : {}", meta_value("faults")).unwrap(),
+        Adversary::Byzantine { .. } => {
+            writeln!(out, "byzantine : {}", meta_value("byzantine")).unwrap();
+            writeln!(out, "churn     : {}", meta_value("churn")).unwrap();
+            if !report.traitors.is_empty() {
+                writeln!(out, "traitors  : {:?}", report.traitors).unwrap();
+            }
+            if !report.joined.is_empty() || !report.left.is_empty() {
+                writeln!(
+                    out,
+                    "membership: {:?} joined, {:?} left",
+                    report.joined, report.left
+                )
+                .unwrap();
+            }
         }
     }
-    if let Some(path) = flags.get("dot") {
-        std::fs::write(path, d.to_dot())
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-        writeln!(out, "dot       : written to {path}").unwrap();
-    }
-    Ok(out)
-}
-
-/// Runs `discover` under a fault plan: lossy/duplicating links plus
-/// crash/restart churn, every node wrapped in the reliable-delivery layer.
-/// The recorded schedule (faults included as explicit choices) can be
-/// written out with `--record` and re-executed with `ard replay`.
-fn discover_faulty(
-    flags: &HashMap<String, String>,
-    topology: &str,
-    variant: Variant,
-    graph: &ard_graph::KnowledgeGraph,
-    plan: &FaultPlan,
-    sched: Box<dyn Scheduler>,
-) -> Result<String, CliError> {
-    let (result, mut schedule) = Discovery::run_faulty(graph, variant, plan, sched);
-    schedule.set_meta("topology", topology.to_string());
-    if let Some(path) = flags.get("record") {
-        std::fs::write(path, schedule.to_text())
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-    }
-    let outcome = result.map_err(|e| CliError(format!("faulty run failed: {e}")))?;
-    budgets::check_all_faulty(
-        &outcome.metrics,
-        graph.len() as u64,
-        graph.edge_count() as u64,
-        variant,
-    )
-    .map_err(|e| CliError(format!("faulty budgets violated: {e}")))?;
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "topology  : {topology} ({} nodes, {} edges)",
-        graph.len(),
-        graph.edge_count()
-    )
-    .unwrap();
-    writeln!(out, "variant   : {variant}").unwrap();
-    writeln!(
-        out,
-        "faults    : {}",
-        schedule.meta("faults").unwrap_or("(vacuous)")
-    )
-    .unwrap();
     writeln!(out, "leaders   : {:?}", outcome.leaders).unwrap();
     writeln!(out, "steps     : {}", outcome.steps).unwrap();
-    let f = &outcome.faults;
-    writeln!(
-        out,
-        "injected  : {} drops, {} duplicates, {} crashes, {} restarts",
-        f.drops, f.duplicates, f.crashes, f.restarts
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "recovery  : {} retransmits, {} acks, {} timer ticks",
-        outcome.retransmits, outcome.acks, f.ticks
-    )
-    .unwrap();
-    writeln!(out, "requirements: satisfied (budgets checked net of overhead)").unwrap();
+    match &adversary {
+        Adversary::Honest => writeln!(out, "requirements: satisfied").unwrap(),
+        Adversary::Faults(_) => {
+            let f = outcome.metrics.faults();
+            writeln!(
+                out,
+                "injected  : {} drops, {} duplicates, {} crashes, {} restarts",
+                f.drops, f.duplicates, f.crashes, f.restarts
+            )
+            .unwrap();
+            writeln!(
+                out,
+                "recovery  : {} retransmits, {} acks, {} timer ticks",
+                outcome.metrics.kind("retransmit").messages,
+                outcome.metrics.kind("rd-ack").messages,
+                f.ticks
+            )
+            .unwrap();
+            writeln!(out, "requirements: satisfied (budgets checked net of overhead)").unwrap();
+        }
+        Adversary::Byzantine { .. } => {
+            let b = outcome.metrics.byzantine();
+            writeln!(
+                out,
+                "injected  : {} forgeries ({} no-op), {} silenced sends, {} stale restarts",
+                b.forged, b.forge_noops, b.silenced, b.stale_restarts
+            )
+            .unwrap();
+            writeln!(
+                out,
+                "churned   : {} joins, {} leaves, {} events discarded after leave",
+                b.joins, b.leaves, b.leave_discards
+            )
+            .unwrap();
+            writeln!(out, "single leader   : {}", verdict(&report.single_leader)).unwrap();
+            writeln!(out, "leader knows all: {}", verdict(&report.leader_knows_all)).unwrap();
+            writeln!(out, "budget lemmas   : {}", verdict(&report.budgets)).unwrap();
+        }
+    }
     write!(out, "{}", outcome.metrics).unwrap();
-    if let Some(path) = flags.get("record") {
-        writeln!(
-            out,
-            "schedule  : written to {path} (re-run with `ard replay {path}`)"
-        )
-        .unwrap();
+    if let Network::Bare(d) = &net {
+        if trace_limit > 0 {
+            writeln!(out, "trace:").unwrap();
+            write!(
+                out,
+                "{}",
+                d.runner().trace().expect("enabled").render(trace_limit)
+            )
+            .unwrap();
+        }
+        if want_stats {
+            let stats = d.runner().trace().expect("enabled").stats();
+            writeln!(out, "traffic hot spots:").unwrap();
+            for (node, count) in stats.top_senders(5) {
+                writeln!(out, "  {node:<6} sent {count} messages").unwrap();
+            }
+            if let Some(((src, dst), count)) = stats.busiest_link() {
+                writeln!(out, "  busiest link: {src} → {dst} ({count} messages)").unwrap();
+            }
+        }
+        if let Some(path) = flags.get("dot") {
+            std::fs::write(path, d.to_dot())
+                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+            writeln!(out, "dot       : written to {path}").unwrap();
+        }
     }
-    Ok(out)
-}
-
-/// Renders a guarantee verdict: `survives` or the failure it degraded to.
-fn verdict(check: &Result<(), String>) -> String {
-    match check {
-        Ok(()) => "survives".to_string(),
-        Err(reason) => format!("FAILS: {reason}"),
-    }
-}
-
-/// Runs `discover` under a Byzantine and/or churn plan: the bare protocol
-/// (no reliable-delivery wrapper — reliability cannot defend forged
-/// content) with forgeries, selective silence, stale restarts and
-/// join/leave churn injected by the scheduler. Unlike the honest and
-/// faulty paths, guarantee violations are *reported*, not asserted: the
-/// output says which of the paper's requirements survive this adversary.
-fn discover_byzantine(
-    flags: &HashMap<String, String>,
-    topology: &str,
-    variant: Variant,
-    graph: &ard_graph::KnowledgeGraph,
-    byz: Option<&ByzantinePlan>,
-    churn: Option<&ChurnPlan>,
-    sched: Box<dyn Scheduler>,
-) -> Result<String, CliError> {
-    let (result, mut schedule) = Discovery::run_byzantine(graph, variant, byz, churn, sched);
-    schedule.set_meta("topology", topology.to_string());
-    if let Some(path) = flags.get("record") {
-        std::fs::write(path, schedule.to_text())
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-    }
-    let outcome = result.map_err(|e| CliError(format!("byzantine run failed: {e}")))?;
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "topology  : {topology} ({} nodes, {} edges)",
-        graph.len(),
-        graph.edge_count()
-    )
-    .unwrap();
-    writeln!(out, "variant   : {variant}").unwrap();
-    writeln!(
-        out,
-        "byzantine : {}",
-        schedule.meta("byzantine").unwrap_or("(none)")
-    )
-    .unwrap();
-    writeln!(out, "churn     : {}", schedule.meta("churn").unwrap_or("(none)")).unwrap();
-    if !outcome.byzantine_nodes.is_empty() {
-        writeln!(out, "traitors  : {:?}", outcome.byzantine_nodes).unwrap();
-    }
-    if !outcome.joined.is_empty() || !outcome.left.is_empty() {
-        writeln!(
-            out,
-            "membership: {:?} joined, {:?} left",
-            outcome.joined, outcome.left
-        )
-        .unwrap();
-    }
-    writeln!(out, "leaders   : {:?}", outcome.leaders).unwrap();
-    writeln!(out, "steps     : {}", outcome.steps).unwrap();
-    let b = &outcome.byzantine;
-    writeln!(
-        out,
-        "injected  : {} forgeries ({} no-op), {} silenced sends, {} stale restarts",
-        b.forged, b.forge_noops, b.silenced, b.stale_restarts
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "churned   : {} joins, {} leaves, {} events discarded after leave",
-        b.joins, b.leaves, b.leave_discards
-    )
-    .unwrap();
-    writeln!(out, "single leader   : {}", verdict(&outcome.single_leader)).unwrap();
-    writeln!(out, "leader knows all: {}", verdict(&outcome.leader_knows_all)).unwrap();
-    writeln!(out, "budget lemmas   : {}", verdict(&outcome.budgets)).unwrap();
-    write!(out, "{}", outcome.metrics).unwrap();
     if let Some(path) = flags.get("record") {
         writeln!(
             out,
@@ -579,12 +492,14 @@ fn discover_sweep(
 
     let seeds: Vec<u64> = (0..trials as u64).map(|i| base.wrapping_add(i)).collect();
     let lines = ard_netsim::par::parallel_map(jobs, seeds, |seed| -> Result<String, CliError> {
-        let mut d = Discovery::new(graph, variant);
-        let outcome = d
-            .run_all(&mut RandomScheduler::seeded(seed))
-            .map_err(|e| CliError(format!("seed {seed}: simulation failed: {e}")))?;
-        d.check_requirements(graph)
-            .map_err(|e| CliError(format!("seed {seed}: requirements violated: {e}")))?;
+        let outcome = ard_core::run(
+            graph,
+            variant,
+            &Adversary::Honest,
+            &mut RandomScheduler::seeded(seed),
+        )
+        .map_err(|e| CliError(format!("seed {seed}: simulation failed: {e}")))?
+        .outcome;
         Ok(format!(
             "seed {seed:>4}: leaders {:?}, {} steps, {} msgs, {} bits",
             outcome.leaders,
@@ -785,24 +700,13 @@ fn baseline_trial(n: usize, seed: u64) -> Result<String, CliError> {
 }
 
 /// The system an `explore`/`replay` invocation drives: the discovery
-/// protocol proper (bare, or reliable-wrapped for faulty runs), or one of
-/// the planted-bug demo fixtures.
+/// protocol under an [`Adversary`], or one of the planted-bug demo
+/// fixtures.
 enum System {
     Discovery {
         topology: String,
         variant: Variant,
-        /// Wrap every node in the reliable-delivery layer and tolerate
-        /// injected faults (set when `--faults` is given, or when a replayed
-        /// schedule carries `faults` metadata).
-        faulty: bool,
-        /// Run the Byzantine-tolerant bare protocol and check the
-        /// survivor-restricted guarantees instead of the honest ones (set
-        /// when `--byzantine`/`--churn` is given, or when a replayed
-        /// schedule carries the matching metadata).
-        byzantine: Option<ByzantinePlan>,
-        /// Join/leave churn: the plan's joiners get no initial wake-up —
-        /// their recorded `Join` choices wake them instead.
-        churn: Option<ChurnPlan>,
+        adversary: Adversary,
     },
     Racy {
         clients: usize,
@@ -830,20 +734,11 @@ impl System {
                 .meta("variant")
                 .ok_or_else(|| CliError("schedule has no `variant` meta".into()))?,
         )?;
-        let byzantine = match schedule.meta("byzantine") {
-            Some(meta) => Some(spec::parse_byzantine(meta)?),
-            None => None,
-        };
-        let churn = match schedule.meta("churn") {
-            Some(meta) => Some(spec::parse_churn(meta)?),
-            None => None,
-        };
+        let n = spec::parse_topology(topology)?.len();
         Ok(System::Discovery {
             topology: topology.to_string(),
             variant,
-            faulty: schedule.meta("faults").is_some(),
-            byzantine,
-            churn,
+            adversary: Adversary::from_schedule(schedule, n).map_err(CliError)?,
         })
     }
 
@@ -892,18 +787,11 @@ impl System {
             System::Discovery {
                 topology,
                 variant,
-                byzantine,
-                churn,
-                ..
+                adversary,
             } => {
                 schedule.set_meta("topology", topology.clone());
                 schedule.set_meta("variant", variant.to_string());
-                if let Some(plan) = byzantine {
-                    schedule.set_meta("byzantine", byzantine_meta(plan));
-                }
-                if let Some(plan) = churn {
-                    schedule.set_meta("churn", churn_meta(plan));
-                }
+                adversary.stamp(schedule);
             }
             System::Racy { clients } => {
                 schedule.set_meta("system", format!("racy:{clients}"));
@@ -919,53 +807,17 @@ impl System {
 
     /// The property closure shared by explore, shrink and replay: build the
     /// system from scratch, run it under `sched`, return `Err` on any
-    /// violation. Fault choices, if any, come from the scheduler (a
+    /// violation. Injected events, if any, come from the scheduler (a
     /// fault-wrapped explorer or a replayed schedule), never from here.
     fn run_one(&self, sched: &mut dyn Scheduler) -> Result<(), String> {
         match self {
             System::Discovery {
                 topology,
                 variant,
-                faulty,
-                byzantine,
-                churn,
+                adversary,
             } => {
                 let graph = spec::parse_topology(topology).map_err(|e| e.to_string())?;
-                if byzantine.is_some() || churn.is_some() {
-                    // The survivor-restricted guarantees: any that fail
-                    // under this schedule count as the violation.
-                    let mut bd = ByzantineDiscovery::new(&graph, *variant);
-                    let withheld: BTreeSet<NodeId> = churn
-                        .as_ref()
-                        .map(|c| c.joiners(graph.len()).into_iter().collect())
-                        .unwrap_or_default();
-                    let steps = bd.run_all(sched, &withheld)?;
-                    let outcome = bd.outcome(steps, byzantine.as_ref(), churn.as_ref());
-                    outcome.single_leader.clone()?;
-                    outcome.leader_knows_all.clone()?;
-                    return outcome.budgets.clone();
-                }
-                if *faulty {
-                    let mut fd = FaultyDiscovery::new(&graph, *variant);
-                    let outcome = fd.run_all(sched)?;
-                    fd.check_requirements()?;
-                    budgets::check_all_faulty(
-                        &outcome.metrics,
-                        graph.len() as u64,
-                        graph.edge_count() as u64,
-                        *variant,
-                    )
-                } else {
-                    let mut d = Discovery::new(&graph, *variant);
-                    let outcome = d.run_all(sched).map_err(|e| e.to_string())?;
-                    d.check_requirements(&graph)?;
-                    budgets::check_all(
-                        &outcome.metrics,
-                        graph.len() as u64,
-                        graph.edge_count() as u64,
-                        *variant,
-                    )
-                }
+                ard_core::run(&graph, *variant, adversary, sched)?.check()
             }
             System::Racy { clients } => fixtures::run_racy(*clients, sched),
             System::Fragile { clients } => fixtures::run_fragile(*clients, sched),
@@ -1010,18 +862,6 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         .get("out")
         .map(String::as_str)
         .unwrap_or("ard-failure.schedule");
-    let byzantine = flags
-        .get("byzantine")
-        .map(|s| spec::parse_byzantine(s))
-        .transpose()?;
-    let churn = flags.get("churn").map(|s| spec::parse_churn(s)).transpose()?;
-    if (byzantine.is_some() || churn.is_some()) && flags.contains_key("faults") {
-        return Err(CliError(
-            "--byzantine/--churn run the bare protocol (no reliable-delivery layer), \
-             which cannot absorb link faults: drop --faults"
-                .into(),
-        ));
-    }
     let system = match flags.get("system").map(String::as_str) {
         None | Some("discovery") => {
             let topology = flags
@@ -1032,13 +872,11 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
                 flags.get("variant").map(String::as_str).unwrap_or("adhoc"),
             )?;
             // Parse eagerly so bad specs fail before any exploration.
-            spec::parse_topology(topology)?;
+            let n = spec::parse_topology(topology)?.len();
             System::Discovery {
                 topology: topology.to_string(),
                 variant,
-                faulty: flags.contains_key("faults"),
-                byzantine: byzantine.clone(),
-                churn: churn.clone(),
+                adversary: adversary_flags(&flags, n)?,
             }
         }
         Some(other) => System::parse_fixture(other)?,
@@ -1053,9 +891,11 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         ));
     }
     let n = system.node_count()?;
-    let fault = match flags.get("faults") {
-        Some(fault_spec) => Some(spec::parse_faults(fault_spec, n)?),
-        None => None,
+    // The plans every candidate schedule carries: the discovery system's
+    // own adversary, or the flags' plans over a fixture's nodes.
+    let adversary = match &system {
+        System::Discovery { adversary, .. } => adversary.clone(),
+        _ => adversary_flags(&flags, n)?,
     };
     let reduce = match flags.get("reduce").map(String::as_str) {
         None | Some("none") => ReduceMode::None,
@@ -1072,9 +912,18 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         dfs_budget: budget - walks,
         dfs_depth: depth,
         seed,
-        fault: fault.clone(),
-        byzantine: byzantine.clone().map(|plan| (plan, n)),
-        churn: churn.clone().map(|plan| (plan, n)),
+        fault: match &adversary {
+            Adversary::Faults(plan) => Some(plan.clone()),
+            _ => None,
+        },
+        byzantine: match &adversary {
+            Adversary::Byzantine { plan, .. } => plan.clone().map(|plan| (plan, n)),
+            _ => None,
+        },
+        churn: match &adversary {
+            Adversary::Byzantine { churn, .. } => churn.clone().map(|plan| (plan, n)),
+            _ => None,
+        },
         jobs,
         verify_snapshots: flags.contains_key("check-snapshots"),
         reduce,
@@ -1087,8 +936,8 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
         report.runs, report.random_walks, report.dfs_runs
     )
     .unwrap();
-    if let Some(plan) = &fault {
-        writeln!(
+    match &adversary {
+        Adversary::Faults(plan) => writeln!(
             out,
             "faults    : drop={}, dup={}, crash={} (seed {})",
             plan.drop,
@@ -1096,13 +945,12 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
             plan.crashes.len(),
             plan.seed
         )
-        .unwrap();
-    }
-    if let Some(plan) = &byzantine {
-        writeln!(out, "byzantine : {}", byzantine_meta(plan)).unwrap();
-    }
-    if let Some(plan) = &churn {
-        writeln!(out, "churn     : {}", churn_meta(plan)).unwrap();
+        .unwrap(),
+        _ => {
+            for (key, value) in adversary.meta() {
+                writeln!(out, "{key:<9} : {value}").unwrap();
+            }
+        }
     }
     if flags.contains_key("stats") {
         writeln!(
@@ -1138,11 +986,6 @@ fn explore_cmd(flags: HashMap<String, String>) -> Result<String, CliError> {
     .unwrap();
     let mut schedule = shrunk.schedule;
     system.stamp(&mut schedule);
-    if let (Some(spec), System::Discovery { .. }) = (flags.get("faults"), &system) {
-        // Presence of the key tells replay to rebuild the reliable-wrapped
-        // network; the recorded choices already carry the faults themselves.
-        schedule.set_meta("faults", spec.clone());
-    }
     std::fs::write(out_path, schedule.to_text())
         .map_err(|e| CliError(format!("cannot write {out_path}: {e}")))?;
     writeln!(out, "replay    : {out_path} (re-run with `ard replay {out_path}`)").unwrap();
@@ -1284,6 +1127,15 @@ mod tests {
         }
         let err = run_line("replay some.schedule --shrink --jobs 2").unwrap_err();
         assert!(err.0.contains("replay does not take --jobs"), "{}", err.0);
+        // A known flag with a malformed value still errors, through the
+        // core adversary parser.
+        for line in [
+            "discover --topology ring:8 --byzantine f=1,class=bribe",
+            "explore --system equiv:2 --byzantine f=1,class=bribe",
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert!(err.0.contains("unknown byzantine class `bribe`"), "{line}: {}", err.0);
+        }
     }
 
     #[test]
@@ -1426,8 +1278,12 @@ mod tests {
     #[test]
     fn replay_same_file_same_stdout() {
         let graph = spec::parse_topology("ring:8").unwrap();
-        let mut d = Discovery::new(&graph, Variant::AdHoc);
-        let (result, mut schedule) = d.run_recorded(RandomScheduler::seeded(3));
+        let (result, mut schedule) = ard_core::record(
+            &graph,
+            Variant::AdHoc,
+            &Adversary::Honest,
+            RandomScheduler::seeded(3),
+        );
         result.unwrap();
         schedule.set_meta("topology", "ring:8");
         let path = std::env::temp_dir().join("ard-cli-test-ring.schedule");
@@ -1457,6 +1313,30 @@ mod tests {
     }
 
     #[test]
+    fn discover_honest_records_a_replayable_schedule() {
+        let path = std::env::temp_dir().join("ard-cli-test-honest.schedule");
+        let path = path.to_str().unwrap().to_string();
+        let plain = run_line("discover --topology ring:8 --scheduler random:3").unwrap();
+        let out = run_line(&format!(
+            "discover --topology ring:8 --scheduler random:3 --record {path}"
+        ))
+        .unwrap();
+        // Recording adds one closing line and changes nothing else.
+        assert_eq!(
+            out,
+            format!("{plain}schedule  : written to {path} (re-run with `ard replay {path}`)\n")
+        );
+        let leaders = out.lines().find(|l| l.starts_with("leaders   :")).unwrap();
+        let schedule = Schedule::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let graph = spec::parse_topology("ring:8").unwrap();
+        let replayed = ard_core::replay(&graph, Variant::AdHoc, &schedule).unwrap();
+        assert_eq!(leaders, format!("leaders   : {:?}", replayed.outcome.leaders));
+        let cli_replay = run_line(&format!("replay {path}")).unwrap();
+        assert!(cli_replay.contains("meta      : topology = ring:8"), "{cli_replay}");
+        assert!(cli_replay.contains("result    : schedule replayed cleanly"), "{cli_replay}");
+    }
+
+    #[test]
     fn discover_faulty_with_crashes_still_satisfies_requirements() {
         let out = run_line(
             "discover --topology random:n=12,extra=18,seed=2 --scheduler random:7 \
@@ -1471,7 +1351,7 @@ mod tests {
     fn discover_rejects_bad_fault_flags() {
         assert!(run_line("discover --topology ring:6 --faults drop=1.5").is_err());
         assert!(run_line("discover --topology ring:6 --faults mangle=1").is_err());
-        assert!(run_line("discover --topology ring:6 --record out.schedule").is_err());
+        assert!(run_line("discover --topology ring:6 --record /nonexistent/out.schedule").is_err());
         assert!(run_line("discover --topology ring:6 --faults drop=0.1 --stats").is_err());
     }
 
@@ -1642,8 +1522,12 @@ mod tests {
     #[test]
     fn replay_shrink_rejects_a_passing_schedule() {
         let graph = spec::parse_topology("ring:6").unwrap();
-        let mut d = Discovery::new(&graph, Variant::AdHoc);
-        let (result, mut schedule) = d.run_recorded(RandomScheduler::seeded(2));
+        let (result, mut schedule) = ard_core::record(
+            &graph,
+            Variant::AdHoc,
+            &Adversary::Honest,
+            RandomScheduler::seeded(2),
+        );
         result.unwrap();
         schedule.set_meta("topology", "ring:6");
         let path = std::env::temp_dir().join("ard-cli-test-clean-shrink.schedule");

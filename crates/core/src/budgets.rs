@@ -259,7 +259,7 @@ pub fn check_all_faulty(metrics: &Metrics, n: u64, e0: u64, variant: Variant) ->
 }
 
 /// [`check_all`] for a run under Byzantine fault injection
-/// ([`crate::ByzantineDiscovery`]).
+/// ([`Adversary::Byzantine`](crate::Adversary::Byzantine)).
 ///
 /// Forged messages are delivered and metered under their payload's kind —
 /// a receiver cannot distinguish a lie from the real thing — but the

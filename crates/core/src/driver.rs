@@ -1,8 +1,5 @@
 use ard_graph::{components, KnowledgeGraph};
-use ard_netsim::{
-    LivelockError, Metrics, NodeId, RecordingScheduler, ReplayScheduler, Runner, Schedule,
-    Scheduler,
-};
+use ard_netsim::{LivelockError, Metrics, NodeId, Runner, Scheduler};
 
 use crate::invariants;
 use crate::node::ArdNode;
@@ -70,22 +67,12 @@ impl Discovery {
     /// Builds a discovery network with an explicit (possibly ablated)
     /// configuration.
     pub fn with_config(graph: &KnowledgeGraph, variant: Variant, config: Config) -> Self {
-        let mut nodes: Vec<ArdNode> = graph
-            .ids()
-            .map(|id| ArdNode::new(id, graph.out_edges(id).iter().copied(), variant, config))
-            .collect();
-        if variant == Variant::Bounded {
-            let comp = components::weakly_connected_components(graph);
-            for component in &comp {
-                for &v in component {
-                    nodes[v.index()].set_component_size(component.len());
-                }
-            }
-        }
         Discovery {
             // Borrow the adjacency lists straight out of the graph: no
             // per-node `Vec` clones, which matters at n = 10⁶.
-            runner: Runner::with_topology(nodes, |id| graph.out_edges(id)),
+            runner: Runner::with_topology(ard_nodes(graph, variant, config), |id| {
+                graph.out_edges(id)
+            }),
             graph: graph.clone(),
             variant,
             config,
@@ -122,8 +109,7 @@ impl Discovery {
     /// A generous step budget: quadratic-ish in `n`, far above any correct
     /// execution, so hitting it means livelock.
     pub fn default_step_budget(&self) -> u64 {
-        let n = self.runner.len() as u64;
-        200 * n * (64 - n.leading_zeros() as u64 + 1) + 10_000
+        step_budget(self.runner.len())
     }
 
     /// Enqueues wake-ups for every node (the scheduler orders them).
@@ -156,36 +142,6 @@ impl Discovery {
     pub fn run_all(&mut self, sched: &mut dyn Scheduler) -> Result<Outcome, LivelockError> {
         self.enqueue_wake_all(sched);
         self.run(sched)
-    }
-
-    /// Like [`run_all`](Discovery::run_all), but records the exact choice
-    /// sequence the scheduler makes into a replayable [`Schedule`] (with
-    /// `nodes` and `variant` metadata attached). The schedule is returned
-    /// even when the run livelocks — a livelocking prefix is still worth
-    /// replaying.
-    pub fn run_recorded<S: Scheduler>(
-        &mut self,
-        inner: S,
-    ) -> (Result<Outcome, LivelockError>, Schedule) {
-        let mut sched = RecordingScheduler::new(inner);
-        let result = self.run_all(&mut sched);
-        let mut schedule = sched.into_schedule();
-        schedule.set_meta("nodes", self.runner.len().to_string());
-        schedule.set_meta("variant", self.variant.to_string());
-        (result, schedule)
-    }
-
-    /// Re-executes a recorded [`Schedule`] against this (freshly built)
-    /// network: wakes every node and replays strictly, panicking with a
-    /// divergence diagnostic if the schedule was recorded against a
-    /// different system.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LivelockError`] if the step budget is exhausted first.
-    pub fn run_replay(&mut self, schedule: &Schedule) -> Result<Outcome, LivelockError> {
-        let mut sched = ReplayScheduler::strict(schedule);
-        self.run_all(&mut sched)
     }
 
     /// Computes the current [`Outcome`] without running anything.
@@ -408,6 +364,30 @@ impl Discovery {
     }
 }
 
+/// The protocol nodes of `graph` under `config`; Bounded nodes learn their
+/// component's size up front.
+pub(crate) fn ard_nodes(graph: &KnowledgeGraph, variant: Variant, config: Config) -> Vec<ArdNode> {
+    let mut nodes: Vec<ArdNode> = graph
+        .ids()
+        .map(|id| ArdNode::new(id, graph.out_edges(id).iter().copied(), variant, config))
+        .collect();
+    if variant == Variant::Bounded {
+        for component in components::weakly_connected_components(graph) {
+            for &v in &component {
+                nodes[v.index()].set_component_size(component.len());
+            }
+        }
+    }
+    nodes
+}
+
+/// The fault-free step budget of an `n`-node run: quadratic-ish in `n`,
+/// far above any correct execution, so hitting it means livelock.
+pub(crate) fn step_budget(n: usize) -> u64 {
+    let n = n as u64;
+    200 * n * (64 - n.leading_zeros() as u64 + 1) + 10_000
+}
+
 impl std::fmt::Debug for Discovery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Discovery")
@@ -500,42 +480,6 @@ mod tests {
         for v in d.runner().ids().collect::<Vec<_>>() {
             assert_eq!(d.leader_of(v), leader);
         }
-    }
-
-    #[test]
-    fn recorded_run_replays_to_identical_outcome() {
-        let graph = gen::random_weakly_connected(12, 20, 6);
-        let mut d = Discovery::new(&graph, Variant::AdHoc);
-        let (result, schedule) = d.run_recorded(RandomScheduler::seeded(5));
-        let recorded = result.unwrap();
-        assert_eq!(schedule.meta("nodes"), Some("12"));
-        assert_eq!(schedule.meta("variant"), Some("ad-hoc"));
-        assert_eq!(schedule.len() as u64, recorded.steps);
-
-        let mut fresh = Discovery::new(&graph, Variant::AdHoc);
-        let replayed = fresh.run_replay(&schedule).unwrap();
-        assert_eq!(replayed.leaders, recorded.leaders);
-        assert_eq!(replayed.leader_of, recorded.leader_of);
-        assert_eq!(replayed.steps, recorded.steps);
-        assert_eq!(
-            format!("{}", replayed.metrics),
-            format!("{}", recorded.metrics)
-        );
-        fresh.check_requirements(&graph).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "replay divergence")]
-    fn replaying_against_a_different_network_diverges() {
-        let graph = gen::path(6);
-        let mut d = Discovery::new(&graph, Variant::Oblivious);
-        let (result, schedule) = d.run_recorded(RandomScheduler::seeded(1));
-        result.unwrap();
-        // A different topology enables different choices: strict replay
-        // must detect the mismatch rather than execute nonsense.
-        let other = gen::star_in(6);
-        let mut fresh = Discovery::new(&other, Variant::Oblivious);
-        let _ = fresh.run_replay(&schedule);
     }
 
     #[test]

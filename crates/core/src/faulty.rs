@@ -1,55 +1,28 @@
-//! Driving discovery runs under fault injection.
+//! The network a discovery runs on under fault injection.
 //!
-//! [`FaultyDiscovery`] is the chaos-tier sibling of [`Discovery`]: the same
-//! network of [`ArdNode`]s, but every node wrapped in the
-//! [`Reliable`] delivery envelope so the run survives the message drops,
-//! duplications and node crash/restarts injected by
-//! [`ard_netsim::fault::FaultScheduler`].
-//!
-//! The associated functions [`Discovery::run_faulty`] and
-//! [`Discovery::replay_faulty`] are the entry points used by the chaos test
-//! suite and the CLI:
-//!
-//! * `run_faulty` records the complete choice sequence — **including** every
-//!   injected `Drop`/`Duplicate`/`Crash`/`Restart`/`Tick` — into a
-//!   [`Schedule`], then checks the paper's §1.2 requirements at quiescence.
-//! * `replay_faulty` re-executes such a schedule with a plain strict
-//!   [`ReplayScheduler`]: because faults were captured as explicit choices,
-//!   replay needs **no fault machinery and no randomness** and is
-//!   byte-exact.
+//! [`FaultyDiscovery`] is the chaos-tier sibling of
+//! [`Discovery`](crate::Discovery): the same network of [`ArdNode`]s, but
+//! every node wrapped in the [`Reliable`] delivery envelope so the run
+//! survives the message drops, duplications and node crash/restarts
+//! injected by [`ard_netsim::fault::FaultScheduler`]. The run pipeline
+//! ([`run`](crate::run()) under
+//! [`Adversary::Faults`](crate::Adversary::Faults)) builds it, records the
+//! injected faults as explicit choices and replays them without any fault
+//! machinery.
 
-use ard_graph::{components, KnowledgeGraph};
-use ard_netsim::{
-    FaultCounts, FaultPlan, FaultScheduler, Metrics, NodeId, RecordingScheduler, ReplayScheduler,
-    Runner, Schedule, Scheduler,
-};
+use ard_graph::KnowledgeGraph;
+use ard_netsim::{Runner, Scheduler};
 
+use crate::budgets;
+use crate::driver::{ard_nodes, step_budget};
 use crate::invariants;
 use crate::node::{ArdNode, AsArdNode};
 use crate::reliable::Reliable;
-use crate::{Config, Discovery, Variant};
+use crate::{Config, Outcome, Variant};
 
-/// Final picture of a discovery run under fault injection.
-#[derive(Clone, Debug)]
-pub struct FaultyOutcome {
-    /// All current leaders (one per weakly connected component), in id order.
-    pub leaders: Vec<NodeId>,
-    /// For every node, the leader its `next`-pointer chain reaches.
-    pub leader_of: Vec<NodeId>,
-    /// Simulation steps executed.
-    pub steps: u64,
-    /// Communication metrics, including the overhead kinds.
-    pub metrics: Metrics,
-    /// Injected-fault counters (drops, duplicates, crashes, restarts, …).
-    pub faults: FaultCounts,
-    /// Retransmissions the reliable layer needed ("retransmit" kind).
-    pub retransmits: u64,
-    /// Acknowledgements the reliable layer sent ("rd-ack" kind).
-    pub acks: u64,
-}
-
-/// A [`Discovery`] network with every node wrapped in the [`Reliable`]
-/// envelope, ready to run under a fault-injecting scheduler.
+/// A [`Discovery`](crate::Discovery) network with every node wrapped in
+/// the [`Reliable`] envelope, ready to run under a fault-injecting
+/// scheduler.
 pub struct FaultyDiscovery {
     runner: Runner<Reliable<ArdNode>>,
     graph: KnowledgeGraph,
@@ -59,23 +32,11 @@ pub struct FaultyDiscovery {
 impl FaultyDiscovery {
     /// Builds the network with the paper's configuration.
     pub fn new(graph: &KnowledgeGraph, variant: Variant) -> Self {
-        let config = Config::paper();
-        let mut nodes: Vec<ArdNode> = graph
-            .ids()
-            .map(|id| ArdNode::new(id, graph.out_edges(id).iter().copied(), variant, config))
-            .collect();
-        if variant == Variant::Bounded {
-            for component in components::weakly_connected_components(graph) {
-                for &v in &component {
-                    nodes[v.index()].set_component_size(component.len());
-                }
-            }
-        }
+        let nodes = ard_nodes(graph, variant, Config::paper());
         FaultyDiscovery {
-            runner: Runner::with_topology(
-                nodes.into_iter().map(Reliable::new).collect(),
-                |id| graph.out_edges(id),
-            ),
+            runner: Runner::with_topology(nodes.into_iter().map(Reliable::new).collect(), |id| {
+                graph.out_edges(id)
+            }),
             graph: graph.clone(),
             variant,
         }
@@ -91,28 +52,43 @@ impl FaultyDiscovery {
         self.variant
     }
 
-    /// Step budget for faulty runs: 100× the fault-free budget of
-    /// [`Discovery::default_step_budget`]. Retransmission traffic under
-    /// heavy loss can exceed the fault-free step count by a large factor,
-    /// but a correct run still terminates far below this; hitting it means
-    /// livelock.
-    pub fn step_budget(&self) -> u64 {
-        let n = self.runner.len() as u64;
-        100 * (200 * n * (64 - n.leading_zeros() as u64 + 1) + 10_000)
-    }
-
-    /// Wakes every node and runs to quiescence.
+    /// Wakes every node and runs to quiescence within the faulty step
+    /// budget ([`Adversary::step_budget`](crate::Adversary::step_budget)).
     ///
     /// # Errors
     ///
     /// Returns the livelock description if the step budget is exhausted.
-    pub fn run_all(&mut self, sched: &mut dyn Scheduler) -> Result<FaultyOutcome, String> {
+    pub fn run_all(&mut self, sched: &mut dyn Scheduler) -> Result<Outcome, String> {
+        self.run_within(sched, FAULTY_BUDGET_FACTOR * step_budget(self.runner.len()))
+    }
+
+    /// [`run_all`](FaultyDiscovery::run_all) within an explicit step budget.
+    pub(crate) fn run_within(
+        &mut self,
+        sched: &mut dyn Scheduler,
+        budget: u64,
+    ) -> Result<Outcome, String> {
         self.runner.enqueue_wake_all(sched);
-        let steps = self
-            .runner
-            .run(sched, self.step_budget())
-            .map_err(|e| e.to_string())?;
-        Ok(self.outcome(steps))
+        let steps = self.runner.run(sched, budget).map_err(|e| e.to_string())?;
+        Ok(Outcome {
+            leaders: self
+                .runner
+                .nodes()
+                .map(AsArdNode::ard)
+                .filter(|n| n.is_leader())
+                .map(ArdNode::id)
+                .collect(),
+            leader_of: self
+                .runner
+                .ids()
+                .map(|v| {
+                    invariants::resolve_leader(&self.runner, v)
+                        .unwrap_or_else(|e| panic!("faulty run broke the forest invariant: {e}"))
+                })
+                .collect(),
+            steps,
+            metrics: self.runner.metrics().clone(),
+        })
     }
 
     /// Checks the paper's §1.2 requirements plus the reliable layer's own
@@ -134,37 +110,22 @@ impl FaultyDiscovery {
         invariants::check_requirements(&self.runner, &self.graph, self.variant)
     }
 
-    /// Computes the current [`FaultyOutcome`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `next`-pointer chain cycles (forest invariant violated).
-    pub fn outcome(&self, steps: u64) -> FaultyOutcome {
-        let metrics = self.runner.metrics().clone();
-        FaultyOutcome {
-            leaders: self
-                .runner
-                .nodes()
-                .map(AsArdNode::ard)
-                .filter(|n| n.is_leader())
-                .map(ArdNode::id)
-                .collect(),
-            leader_of: self
-                .runner
-                .ids()
-                .map(|v| {
-                    invariants::resolve_leader(&self.runner, v)
-                        .unwrap_or_else(|e| panic!("faulty run broke the forest invariant: {e}"))
-                })
-                .collect(),
-            steps,
-            faults: metrics.faults(),
-            retransmits: metrics.kind("retransmit").messages,
-            acks: metrics.kind("rd-ack").messages,
-            metrics,
-        }
+    /// Checks the §5 budgets net of the reliable layer's metered overhead
+    /// ([`budgets::check_all_faulty`]).
+    pub(crate) fn check_budgets(&self) -> Result<(), String> {
+        budgets::check_all_faulty(
+            self.runner.metrics(),
+            self.graph.len() as u64,
+            self.graph.edge_count() as u64,
+            self.variant,
+        )
     }
 }
+
+/// Faulty runs get 100× the fault-free step budget: retransmission traffic
+/// under heavy loss can exceed the fault-free step count by a large
+/// factor, but a correct run still terminates far below this.
+pub(crate) const FAULTY_BUDGET_FACTOR: u64 = 100;
 
 impl std::fmt::Debug for FaultyDiscovery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -175,87 +136,34 @@ impl std::fmt::Debug for FaultyDiscovery {
     }
 }
 
-/// Canonical `faults` metadata value recorded in faulty schedules: presence
-/// of the key tells a replayer to build the reliable-wrapped network; the
-/// value documents the plan for humans and regeneration scripts.
-fn plan_meta(plan: &FaultPlan) -> String {
-    format!(
-        "drop={},dup={},crash={},seed={}",
-        plan.drop,
-        plan.dup,
-        plan.crashes.len(),
-        plan.seed
-    )
-}
-
-impl Discovery {
-    /// Runs discovery on `graph` under fault injection: every node wrapped
-    /// in [`Reliable`], the scheduler wrapped in a fault-injecting
-    /// [`FaultScheduler`] (seeded from `plan.seed`), the full choice
-    /// sequence recorded. After a quiescent run the paper's requirements
-    /// are checked — under any drop rate `< 1` and the plan's bounded
-    /// crash/restart churn, discovery must still complete correctly.
-    ///
-    /// Returns the run result and the recorded schedule (also on failure —
-    /// a failing prefix is still worth replaying). The schedule carries
-    /// `nodes`, `variant` and `faults` metadata;
-    /// [`replay_faulty`](Discovery::replay_faulty) re-executes it exactly.
-    pub fn run_faulty<S: Scheduler>(
-        graph: &KnowledgeGraph,
-        variant: Variant,
-        plan: &FaultPlan,
-        inner: S,
-    ) -> (Result<FaultyOutcome, String>, Schedule) {
-        let mut fd = FaultyDiscovery::new(graph, variant);
-        let mut sched = RecordingScheduler::new(FaultScheduler::new(inner, Some(plan.clone())));
-        let result = fd.run_all(&mut sched);
-        let mut schedule = sched.into_schedule();
-        schedule.set_meta("nodes", fd.runner.len().to_string());
-        schedule.set_meta("variant", variant.to_string());
-        schedule.set_meta("faults", plan_meta(plan));
-        let result = result.and_then(|o| fd.check_requirements().map(|()| o));
-        (result, schedule)
-    }
-
-    /// Re-executes a schedule recorded by [`run_faulty`](Discovery::run_faulty)
-    /// against a freshly built reliable-wrapped network. The recorded
-    /// choices carry the faults, so no [`FaultScheduler`] (and no RNG) is
-    /// involved: replay is strict and byte-exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns the livelock or requirement violation, exactly as the
-    /// recording run produced it.
-    pub fn replay_faulty(
-        graph: &KnowledgeGraph,
-        variant: Variant,
-        schedule: &Schedule,
-    ) -> Result<FaultyOutcome, String> {
-        let mut fd = FaultyDiscovery::new(graph, variant);
-        let mut sched = ReplayScheduler::strict(schedule);
-        let outcome = fd.run_all(&mut sched)?;
-        fd.check_requirements()?;
-        Ok(outcome)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{record, replay, Adversary};
     use ard_graph::gen;
-    use ard_netsim::RandomScheduler;
+    use ard_netsim::{FaultPlan, NodeId, RandomScheduler, Schedule};
 
     #[test]
     fn lossy_run_completes_and_checks() {
         let graph = gen::random_weakly_connected(12, 20, 3);
         let plan = FaultPlan::new(9).with_drop(0.15).with_dup(0.05);
-        let (result, schedule) =
-            Discovery::run_faulty(&graph, Variant::Oblivious, &plan, RandomScheduler::seeded(3));
-        let outcome = result.unwrap();
+        let (result, schedule) = record(
+            &graph,
+            Variant::Oblivious,
+            &Adversary::Faults(plan),
+            RandomScheduler::seeded(3),
+        );
+        let outcome = result.unwrap().outcome;
         assert_eq!(outcome.leaders.len(), 1);
-        assert!(outcome.faults.drops > 0, "plan injected no drops");
-        assert!(outcome.retransmits > 0, "drops must force retransmissions");
-        assert_eq!(schedule.meta("faults"), Some("drop=0.15,dup=0.05,crash=0,seed=9"));
+        assert!(outcome.metrics.faults().drops > 0, "plan injected no drops");
+        assert!(
+            outcome.metrics.kind("retransmit").messages > 0,
+            "drops must force retransmissions"
+        );
+        assert_eq!(
+            schedule.meta("faults"),
+            Some("drop=0.15,dup=0.05,crash=0,seed=9")
+        );
     }
 
     #[test]
@@ -264,12 +172,16 @@ mod tests {
         let plan = FaultPlan::new(4)
             .with_drop(0.2)
             .with_crash(NodeId::new(3), 30, 20);
-        let (result, schedule) =
-            Discovery::run_faulty(&graph, Variant::AdHoc, &plan, RandomScheduler::seeded(1));
-        let recorded = result.unwrap();
-        assert!(recorded.faults.crashes >= 1);
+        let (result, schedule) = record(
+            &graph,
+            Variant::AdHoc,
+            &Adversary::Faults(plan),
+            RandomScheduler::seeded(1),
+        );
+        let recorded = result.unwrap().outcome;
+        assert!(recorded.metrics.faults().crashes >= 1);
 
-        let replayed = Discovery::replay_faulty(&graph, Variant::AdHoc, &schedule).unwrap();
+        let replayed = replay(&graph, Variant::AdHoc, &schedule).unwrap().outcome;
         assert_eq!(replayed.steps, recorded.steps);
         assert_eq!(replayed.steps, schedule.len() as u64);
         assert_eq!(replayed.leaders, recorded.leaders);
@@ -286,20 +198,24 @@ mod tests {
     #[test]
     fn vacuous_plan_behaves_like_reliable_network() {
         let graph = gen::random_weakly_connected(8, 12, 2);
-        let plan = FaultPlan::new(0);
-        let (result, _schedule) =
-            Discovery::run_faulty(&graph, Variant::Bounded, &plan, RandomScheduler::seeded(5));
-        let outcome = result.unwrap();
+        let (result, _schedule) = record(
+            &graph,
+            Variant::Bounded,
+            &Adversary::Faults(FaultPlan::new(0)),
+            RandomScheduler::seeded(5),
+        );
+        let metrics = result.unwrap().outcome.metrics;
+        let faults = metrics.faults();
         // Ticks still fire (the retransmission timer), but nothing is
         // dropped, duplicated or crashed.
-        assert_eq!(outcome.faults.drops, 0);
-        assert_eq!(outcome.faults.duplicates, 0);
-        assert_eq!(outcome.faults.crashes, 0);
-        assert!(outcome.faults.ticks > 0);
+        assert_eq!(faults.drops, 0);
+        assert_eq!(faults.duplicates, 0);
+        assert_eq!(faults.crashes, 0);
+        assert!(faults.ticks > 0);
         // Every logical message still costs one ack. (A few spurious
         // retransmissions are possible even without faults: the scheduler
         // may fire ticks faster than it delivers acks.)
-        assert!(outcome.acks > 0);
+        assert!(metrics.kind("rd-ack").messages > 0);
     }
 
     #[test]
@@ -307,9 +223,13 @@ mod tests {
         let graph = gen::random_weakly_connected(24, 48, 5);
         for variant in [Variant::Oblivious, Variant::Bounded, Variant::AdHoc] {
             let plan = FaultPlan::new(11).with_drop(0.1).with_dup(0.05);
-            let (result, _) =
-                Discovery::run_faulty(&graph, variant, &plan, RandomScheduler::seeded(6));
-            let outcome = result.unwrap();
+            let (result, _) = record(
+                &graph,
+                variant,
+                &Adversary::Faults(plan),
+                RandomScheduler::seeded(6),
+            );
+            let outcome = result.unwrap_or_else(|e| panic!("{variant}: {e}")).outcome;
             crate::budgets::check_all_faulty(
                 &outcome.metrics,
                 graph.len() as u64,

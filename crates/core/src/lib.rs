@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod budgets;
-mod byzantine;
 mod config;
 mod driver;
 mod faulty;
@@ -52,13 +51,14 @@ pub mod invariants;
 mod msg;
 pub mod node;
 mod reliable;
+mod run;
 mod status;
 
-pub use byzantine::{byzantine_meta, churn_meta, ByzantineDiscovery, ByzantineOutcome};
 pub use config::{Config, Variant};
 pub use driver::{Discovery, Outcome, ProbeStatus};
-pub use faulty::{FaultyDiscovery, FaultyOutcome};
+pub use faulty::FaultyDiscovery;
 pub use msg::{InfoPayload, Message, Verdict};
 pub use node::AsArdNode;
 pub use reliable::{Reliable, ReliableMsg};
+pub use run::{record, replay, run, Adversary, Network, Report};
 pub use status::{Status, Transition, EXPECTED_TRANSITIONS};

@@ -12,7 +12,8 @@
 # discovery run per variant, diffed against the pinned snapshot
 # scripts/chaos-smoke.snapshot (regenerate it with
 # scripts/verify.sh --regen-chaos after an intentional engine change and
-# review the diff), then a Byzantine smoke: the explorer must find and
+# review the diff), then a record/replay smoke (an honest `discover
+# --record` schedule must replay cleanly), then a Byzantine smoke: the explorer must find and
 # shrink the planted equivocation bug under a one-traitor plan, and a
 # seeded traitor + churn run must match its pinned guarantee-survival
 # report in scripts/byzantine-smoke.snapshot (regenerate with
@@ -84,6 +85,20 @@ fi
 if ! diff -u "$snapshot" <(chaos); then
     echo "verify: chaos smoke diverged from the pinned snapshot" >&2
     echo "verify: if intentional, regenerate with scripts/verify.sh --regen-chaos" >&2
+    exit 1
+fi
+
+# Record/replay smoke: an honest discovery recorded with --record must
+# replay cleanly through `ard replay`, which reads the run's adversary back
+# from the schedule metadata.
+rec_out="$(mktemp /tmp/ard-verify-record.XXXXXX)"
+cargo run --offline --release -p ard-cli --bin ard -- \
+    discover --topology ring:16 --scheduler random:3 --record "$rec_out" > /dev/null
+rec_replay="$(cargo run --offline --release -p ard-cli --bin ard -- replay "$rec_out")"
+rm -f "$rec_out"
+if ! grep -q "schedule replayed cleanly" <<<"$rec_replay"; then
+    echo "verify: an honest --record schedule did not replay cleanly:" >&2
+    printf '%s\n' "$rec_replay" >&2
     exit 1
 fi
 
@@ -225,4 +240,4 @@ for key in '"mode": "scratch"' '"mode": "checkpoint"' '"reduction"'; do
     fi
 done
 
-echo "verify: OK (tier-1 green, explore smoke deterministic, --jobs 4 byte-identical, snapshots verified, chaos smoke matches snapshot, byzantine smoke found+shrunk and matches snapshot, dpor smoke reduced=full and matches snapshot, n=100000 fifo smoke matches snapshot, bench JSON schema ok)"
+echo "verify: OK (tier-1 green, explore smoke deterministic, --jobs 4 byte-identical, snapshots verified, chaos smoke matches snapshot, honest record replays cleanly, byzantine smoke found+shrunk and matches snapshot, dpor smoke reduced=full and matches snapshot, n=100000 fifo smoke matches snapshot, bench JSON schema ok)"

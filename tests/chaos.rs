@@ -21,9 +21,7 @@
 //! strict byte-exact replay; which *guarantees* survive each cell is
 //! pinned separately in `tests/survival_matrix.rs`.
 
-use asynchronous_resource_discovery::core::{
-    budgets, ByzantineOutcome, Discovery, FaultyOutcome, Variant,
-};
+use asynchronous_resource_discovery::core::{budgets, record, replay, Adversary, Report, Variant};
 use asynchronous_resource_discovery::graph::gen;
 use asynchronous_resource_discovery::netsim::{
     BoundedDelayScheduler, ByzantinePlan, ChurnPlan, FaultPlan, FifoScheduler, RandomScheduler,
@@ -53,7 +51,7 @@ fn run_cell(
     variant: Variant,
     sched_kind: &str,
     cell: u64,
-) -> (FaultyOutcome, Schedule) {
+) -> (Report, Schedule) {
     let name = format!("n={n} drop={drop} crashes={crashes} {variant} {sched_kind} cell={cell}");
     let graph = gen::random_weakly_connected(n, 2 * n, cell);
     let plan = FaultPlan::new(1000 + cell)
@@ -61,13 +59,16 @@ fn run_cell(
         .with_dup(0.05)
         .with_spread_crashes(crashes, n);
     let sched = make_scheduler(sched_kind, 2000 + cell);
-    let (result, schedule) = Discovery::run_faulty(&graph, variant, &plan, sched);
-    let outcome = result.unwrap_or_else(|e| panic!("{name}: {e}"));
+    let (result, schedule) = record(&graph, variant, &Adversary::Faults(plan), sched);
+    let report = result.unwrap_or_else(|e| panic!("{name}: {e}"));
+    let outcome = &report.outcome;
+    let faults = outcome.metrics.faults();
+    let retransmits = outcome.metrics.kind("retransmit").messages;
 
-    // Requirements already checked inside run_faulty; re-assert the shape.
+    // Requirements already checked inside the run; re-assert the shape.
     assert_eq!(outcome.leaders.len(), 1, "{name}: single component");
-    assert_eq!(outcome.faults.crashes as usize, crashes, "{name}: crashes");
-    assert_eq!(outcome.faults.restarts as usize, crashes, "{name}: restarts");
+    assert_eq!(faults.crashes as usize, crashes, "{name}: crashes");
+    assert_eq!(faults.restarts as usize, crashes, "{name}: restarts");
 
     // Budgets hold net of the explicitly metered recovery overhead.
     budgets::check_all_faulty(
@@ -83,19 +84,19 @@ fn run_cell(
     // attempts per message O(1), and the capped backoff keeps spurious
     // retransmissions rare).
     if drop >= 0.1 {
-        assert!(outcome.faults.drops > 0, "{name}: plan injected no drops");
+        assert!(faults.drops > 0, "{name}: plan injected no drops");
         assert!(
-            outcome.retransmits > 0,
+            retransmits > 0,
             "{name}: sustained loss must force retransmissions"
         );
     }
     assert!(
-        outcome.retransmits <= outcome.metrics.total_messages() / 2,
+        retransmits <= outcome.metrics.total_messages() / 2,
         "{name}: {} retransmits of {} total messages",
-        outcome.retransmits,
+        retransmits,
         outcome.metrics.total_messages()
     );
-    (outcome, schedule)
+    (report, schedule)
 }
 
 fn run_matrix(n: usize) {
@@ -126,10 +127,12 @@ fn chaos_matrix_medium_networks() {
 #[test]
 fn harshest_cell_replays_byte_exactly() {
     let n = 32;
-    let (outcome, schedule) = run_cell(n, 0.3, 3, Variant::AdHoc, "random", 9_999);
+    let (report, schedule) = run_cell(n, 0.3, 3, Variant::AdHoc, "random", 9_999);
+    let outcome = report.outcome;
     let graph = gen::random_weakly_connected(n, 2 * n, 9_999);
-    let replayed = Discovery::replay_faulty(&graph, Variant::AdHoc, &schedule)
-        .expect("recorded faulty schedule replays");
+    let replayed = replay(&graph, Variant::AdHoc, &schedule)
+        .expect("recorded faulty schedule replays")
+        .outcome;
     assert_eq!(replayed.steps, outcome.steps);
     assert_eq!(replayed.steps, schedule.len() as u64);
     assert_eq!(replayed.leaders, outcome.leaders);
@@ -156,45 +159,45 @@ fn run_byzantine_cell(
     class: &str,
     churn_rate: f64,
     cell: u64,
-) -> (ByzantineOutcome, Schedule) {
+) -> (Report, Schedule) {
     let name = format!("n={n} f={f} class={class} churn={churn_rate} cell={cell}");
     let graph = gen::random_weakly_connected(n, 2 * n, cell);
     let byz = ByzantinePlan::new(3_000 + cell, f).only(class);
     let churn = (churn_rate > 0.0).then(|| ChurnPlan::new(4_000 + cell, churn_rate));
-    let (result, schedule) = Discovery::run_byzantine(
+    let adversary = Adversary::Byzantine {
+        plan: Some(byz),
+        churn: churn.clone(),
+    };
+    let (result, schedule) = record(
         &graph,
         Variant::AdHoc,
-        Some(&byz),
-        churn.as_ref(),
+        &adversary,
         RandomScheduler::seeded(5_000 + cell),
     );
-    let outcome = result.unwrap_or_else(|e| panic!("{name}: {e}"));
+    let report = result.unwrap_or_else(|e| panic!("{name}: {e}"));
+    let counts = report.outcome.metrics.byzantine();
 
-    assert_eq!(outcome.steps, schedule.len() as u64, "{name}: steps");
-    assert_eq!(
-        outcome.byzantine_nodes.len(),
-        f.min(n),
-        "{name}: traitor count"
-    );
+    assert_eq!(report.outcome.steps, schedule.len() as u64, "{name}: steps");
+    assert_eq!(report.traitors.len(), f.min(n), "{name}: traitor count");
     match class {
         "equivocate" | "fabricate" => assert!(
-            outcome.byzantine.forged + outcome.byzantine.forge_noops > 0,
+            counts.forged + counts.forge_noops > 0,
             "{name}: forgery classes must actually forge"
         ),
         "stale-restart" => assert_eq!(
-            outcome.byzantine.stale_restarts as usize,
+            counts.stale_restarts as usize,
             f.min(n),
             "{name}: one stale restart per traitor"
         ),
         _ => {}
     }
     if let Some(plan) = &churn {
-        assert_eq!(outcome.joined.len(), plan.joiners(n).len(), "{name}: joins");
-        assert_eq!(outcome.left.len(), plan.leavers(n).len(), "{name}: leaves");
+        assert_eq!(report.joined.len(), plan.joiners(n).len(), "{name}: joins");
+        assert_eq!(report.left.len(), plan.leavers(n).len(), "{name}: leaves");
     } else {
-        assert!(outcome.joined.is_empty() && outcome.left.is_empty(), "{name}");
+        assert!(report.joined.is_empty() && report.left.is_empty(), "{name}");
     }
-    (outcome, schedule)
+    (report, schedule)
 }
 
 /// The Byzantine chaos matrix: {f = 1, 2} × four fault classes × churn
@@ -209,8 +212,8 @@ fn run_byzantine_matrix(n: usize) {
         for class in BYZ_CLASSES {
             for churn_rate in [0.0, 0.05] {
                 cell += 1;
-                let (outcome, _) = run_byzantine_cell(n, f, class, churn_rate, cell);
-                silenced_total += outcome.byzantine.silenced;
+                let (report, _) = run_byzantine_cell(n, f, class, churn_rate, cell);
+                silenced_total += report.outcome.metrics.byzantine().silenced;
             }
         }
     }
@@ -238,25 +241,30 @@ fn byzantine_matrix_medium_networks() {
 fn harshest_byzantine_cell_replays_byte_exactly() {
     let n = 32;
     let graph = gen::random_weakly_connected(n, 2 * n, 8_888);
-    let byz = ByzantinePlan::new(8_888, 2);
-    let churn = ChurnPlan::new(8_889, 0.1);
-    let (result, schedule) = Discovery::run_byzantine(
+    let adversary = Adversary::Byzantine {
+        plan: Some(ByzantinePlan::new(8_888, 2)),
+        churn: Some(ChurnPlan::new(8_889, 0.1)),
+    };
+    let (result, schedule) = record(
         &graph,
         Variant::AdHoc,
-        Some(&byz),
-        Some(&churn),
+        &adversary,
         RandomScheduler::seeded(8_890),
     );
-    let outcome = result.expect("harshest Byzantine cell quiesces");
-    let replayed = Discovery::replay_byzantine(&graph, Variant::AdHoc, &schedule)
-        .expect("recorded Byzantine schedule replays");
-    assert_eq!(replayed.steps, outcome.steps);
-    assert_eq!(replayed.leaders, outcome.leaders);
-    assert_eq!(replayed.byzantine, outcome.byzantine);
-    assert_eq!(replayed.joined, outcome.joined);
-    assert_eq!(replayed.left, outcome.left);
+    let recorded = result.expect("harshest Byzantine cell quiesces");
+    let replayed =
+        replay(&graph, Variant::AdHoc, &schedule).expect("recorded Byzantine schedule replays");
+    let (outcome, replayed_outcome) = (&recorded.outcome, &replayed.outcome);
+    assert_eq!(replayed_outcome.steps, outcome.steps);
+    assert_eq!(replayed_outcome.leaders, outcome.leaders);
     assert_eq!(
-        format!("{}", replayed.metrics),
+        replayed_outcome.metrics.byzantine(),
+        outcome.metrics.byzantine()
+    );
+    assert_eq!(replayed.joined, recorded.joined);
+    assert_eq!(replayed.left, recorded.left);
+    assert_eq!(
+        format!("{}", replayed_outcome.metrics),
         format!("{}", outcome.metrics),
         "metrics tables must be identical under replay"
     );
@@ -271,10 +279,15 @@ fn pure_crash_churn_is_survivable() {
     {
         let graph = gen::random_weakly_connected(16, 32, seed);
         let plan = FaultPlan::new(seed).with_spread_crashes(3, 16);
-        let (result, _) =
-            Discovery::run_faulty(&graph, variant, &plan, RandomScheduler::seeded(seed + 50));
-        let outcome = result.unwrap_or_else(|e| panic!("variant {variant}: {e}"));
-        assert_eq!(outcome.faults.crashes, 3);
-        assert_eq!(outcome.faults.drops, 0, "no link faults in this plan");
+        let (result, _) = record(
+            &graph,
+            variant,
+            &Adversary::Faults(plan),
+            RandomScheduler::seeded(seed + 50),
+        );
+        let report = result.unwrap_or_else(|e| panic!("variant {variant}: {e}"));
+        let faults = report.outcome.metrics.faults();
+        assert_eq!(faults.crashes, 3);
+        assert_eq!(faults.drops, 0, "no link faults in this plan");
     }
 }

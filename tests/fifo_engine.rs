@@ -12,11 +12,11 @@
 //! end; and Ad-hoc probes and dynamic additions after a loop run must
 //! behave as they do after a per-event run.
 
-use asynchronous_resource_discovery::core::{Discovery, Outcome, Variant};
+use asynchronous_resource_discovery::core::{record, Adversary, Discovery, Outcome, Variant};
 use asynchronous_resource_discovery::graph::{gen, KnowledgeGraph};
 use asynchronous_resource_discovery::netsim::trace::TraceEvent;
 use asynchronous_resource_discovery::netsim::{
-    Choice, FifoScheduler, NodeId, RecordingScheduler, Schedule, Scheduler,
+    Choice, FifoScheduler, NodeId, RecordingScheduler, ReplayScheduler, Schedule, Scheduler,
 };
 
 use proptest::prelude::*;
@@ -103,8 +103,7 @@ fn assert_loop_schedule_matches_recording(graph: &KnowledgeGraph, variant: Varia
     let (fifo_loop, _) = run_loop(graph, variant);
     let executed = loop_schedule(&fifo_loop, variant);
 
-    let mut per_event = traced(graph, variant);
-    let (result, recorded) = per_event.run_recorded(FifoScheduler::new());
+    let (result, recorded) = record(graph, variant, &Adversary::Honest, FifoScheduler::new());
     result.unwrap();
 
     assert_eq!(executed.choices(), recorded.choices(), "{variant}: schedule");
@@ -118,7 +117,9 @@ fn assert_loop_schedule_replays(graph: &KnowledgeGraph, variant: Variant) {
     let schedule = loop_schedule(&fifo_loop, variant);
 
     let mut replayed = traced(graph, variant);
-    let replay_outcome = replayed.run_replay(&schedule).unwrap();
+    let replay_outcome = replayed
+        .run_all(&mut ReplayScheduler::strict(&schedule))
+        .unwrap();
     assert_eq!(replay_outcome.steps, loop_outcome.steps, "{variant}: replay steps");
     assert_eq!(replay_outcome.metrics, loop_outcome.metrics, "{variant}: replay metrics");
     assert_same(&fifo_loop, &replayed);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use asynchronous_resource_discovery::core::{budgets, Discovery, Variant};
+use asynchronous_resource_discovery::core::{record, replay, Adversary, Discovery, Variant};
 use asynchronous_resource_discovery::graph::{components, gen, KnowledgeGraph};
 use asynchronous_resource_discovery::netsim::explore::{fixtures, run_fork_system};
 use asynchronous_resource_discovery::netsim::{
@@ -182,18 +182,9 @@ proptest! {
     ) {
         let topology = format!("random:n={n},extra={extra},seed={graph_seed}");
         let graph = gen::random_weakly_connected(n, extra, graph_seed);
-        let mut d = Discovery::new(&graph, variant);
-        let (result, schedule) = d.run_recorded(sched.build());
-        result.expect("livelock");
-        let check = d.check_requirements(&graph).and_then(|()| {
-            budgets::check_all(
-                d.runner().metrics(),
-                n as u64,
-                graph.edge_count() as u64,
-                variant,
-            )
-        });
-        if let Err(reason) = check {
+        // An honest run fails on a broken requirement or budget.
+        let (result, schedule) = record(&graph, variant, &Adversary::Honest, sched.build());
+        if let Err(reason) = result {
             return Err(fail_with_artifact(&topology, variant, schedule, &reason));
         }
     }
@@ -209,15 +200,14 @@ proptest! {
         variant in variant_strategy(),
     ) {
         let graph = gen::random_multi_component(parts, per, per, seed);
-        let mut d = Discovery::new(&graph, variant);
-        let (result, schedule) = d.run_recorded(sched.build());
-        result.expect("livelock");
+        let (result, schedule) = record(&graph, variant, &Adversary::Honest, sched.build());
         let topology = format!("components:count={parts},per={per},extra={per},seed={seed}");
-        if d.leaders().len() != parts {
-            let reason = format!("{} leaders for {parts} components", d.leaders().len());
-            return Err(fail_with_artifact(&topology, variant, schedule, &reason));
-        }
-        if let Err(reason) = d.check_requirements(&graph) {
+        let leaders = match result {
+            Ok(report) => report.outcome.leaders.len(),
+            Err(reason) => return Err(fail_with_artifact(&topology, variant, schedule, &reason)),
+        };
+        if leaders != parts {
+            let reason = format!("{leaders} leaders for {parts} components");
             return Err(fail_with_artifact(&topology, variant, schedule, &reason));
         }
     }
@@ -238,10 +228,8 @@ proptest! {
                 graph.add_edge(NodeId::new(u), NodeId::new(v));
             }
         }
-        let mut d = Discovery::new(&graph, variant);
-        let (result, _schedule) = d.run_recorded(sched.build());
-        result.expect("livelock");
-        d.check_requirements(&graph).map_err(TestCaseError::fail)?;
+        let (result, _schedule) = record(&graph, variant, &Adversary::Honest, sched.build());
+        result.map_err(TestCaseError::fail)?;
     }
 
     /// The number of leaders always equals the number of weak components.
@@ -338,29 +326,23 @@ proptest! {
     ) {
         let topology = format!("random:n={n},extra={extra},seed={graph_seed}");
         let graph = gen::random_weakly_connected(n, extra, graph_seed);
-        let plan = fault.plan(n);
-        let (result, schedule) =
-            Discovery::run_faulty(&graph, variant, &plan, sched.build());
-        let outcome = match result.and_then(|o| {
-            budgets::check_all_faulty(
-                &o.metrics,
-                n as u64,
-                graph.edge_count() as u64,
-                variant,
-            )
-            .map(|()| o)
-        }) {
-            Ok(outcome) => outcome,
+        let adversary = Adversary::Faults(fault.plan(n));
+        // A faulty run fails on a broken requirement, an unacknowledged
+        // transmission or a budget broken net of the recovery overhead.
+        let (result, schedule) = record(&graph, variant, &adversary, sched.build());
+        let outcome = match result {
+            Ok(report) => report.outcome,
             Err(reason) => {
                 return Err(fail_with_artifact(&topology, variant, schedule, &reason));
             }
         };
-        match Discovery::replay_faulty(&graph, variant, &schedule) {
+        match replay(&graph, variant, &schedule) {
             Err(reason) => {
                 let reason = format!("faulty replay diverged: {reason}");
                 return Err(fail_with_artifact(&topology, variant, schedule, &reason));
             }
             Ok(replayed) => {
+                let replayed = replayed.outcome;
                 if replayed.steps != outcome.steps
                     || format!("{}", replayed.metrics) != format!("{}", outcome.metrics)
                 {
@@ -392,46 +374,44 @@ proptest! {
     ) {
         let topology = format!("random:n={n},extra={extra},seed={graph_seed}");
         let graph = gen::random_weakly_connected(n, extra, graph_seed);
-        let plan = byz.plan();
         let churn_plan = churn.as_ref().map(ChurnSpec::plan);
-        let (result, schedule) = Discovery::run_byzantine(
-            &graph,
-            variant,
-            Some(&plan),
-            churn_plan.as_ref(),
-            sched.build(),
-        );
-        let outcome = match result {
-            Ok(outcome) => outcome,
+        let adversary = Adversary::Byzantine {
+            plan: Some(byz.plan()),
+            churn: churn_plan.clone(),
+        };
+        let (result, schedule) = record(&graph, variant, &adversary, sched.build());
+        let report = match result {
+            Ok(report) => report,
             Err(reason) => {
                 return Err(fail_with_artifact(&topology, variant, schedule, &reason));
             }
         };
-        if outcome.byzantine_nodes.len() != byz.f.min(n) {
+        if report.traitors.len() != byz.f.min(n) {
             let reason = format!(
                 "plan promised {} traitors, outcome reports {}",
                 byz.f.min(n),
-                outcome.byzantine_nodes.len()
+                report.traitors.len()
             );
             return Err(fail_with_artifact(&topology, variant, schedule, &reason));
         }
         if let Some(churn_plan) = &churn_plan {
-            if outcome.joined.len() != churn_plan.joiners(n).len()
-                || outcome.left.len() != churn_plan.leavers(n).len()
+            if report.joined.len() != churn_plan.joiners(n).len()
+                || report.left.len() != churn_plan.leavers(n).len()
             {
                 let reason = "membership churn diverged from the plan";
                 return Err(fail_with_artifact(&topology, variant, schedule, reason));
             }
         }
-        match Discovery::replay_byzantine(&graph, variant, &schedule) {
+        match replay(&graph, variant, &schedule) {
             Err(reason) => {
                 let reason = format!("byzantine replay diverged: {reason}");
                 return Err(fail_with_artifact(&topology, variant, schedule, &reason));
             }
             Ok(replayed) => {
+                let (replayed, outcome) = (replayed.outcome, &report.outcome);
                 if replayed.steps != outcome.steps
                     || replayed.leaders != outcome.leaders
-                    || replayed.byzantine != outcome.byzantine
+                    || replayed.metrics.byzantine() != outcome.metrics.byzantine()
                     || format!("{}", replayed.metrics) != format!("{}", outcome.metrics)
                 {
                     let reason = "byzantine replay diverged from the recording";

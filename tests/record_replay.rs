@@ -5,10 +5,11 @@
 //! sequences. This is the property that makes a checked-in schedule file a
 //! faithful reproduction of the execution that produced it.
 
-use asynchronous_resource_discovery::core::{Discovery, Variant};
+use asynchronous_resource_discovery::core::{replay, Adversary, Network, Variant};
 use asynchronous_resource_discovery::graph::gen;
 use asynchronous_resource_discovery::netsim::{
-    BoundedDelayScheduler, FifoScheduler, LifoScheduler, RandomScheduler, Schedule, Scheduler,
+    BoundedDelayScheduler, FifoScheduler, LifoScheduler, RandomScheduler, ReplayScheduler,
+    Schedule, Scheduler,
 };
 
 fn family(n: usize) -> Vec<(&'static str, Box<dyn Scheduler>)> {
@@ -29,10 +30,14 @@ fn family(n: usize) -> Vec<(&'static str, Box<dyn Scheduler>)> {
 
 fn record_then_replay(n: usize, label: &str, sched: Box<dyn Scheduler>, variant: Variant) {
     let graph = gen::random_weakly_connected(n, 2 * n, 17);
-    let mut original = Discovery::new(&graph, variant);
-    original.runner_mut().enable_trace();
-    let (result, schedule) = original.run_recorded(sched);
-    let recorded = result.unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
+    let adversary = Adversary::Honest;
+    let mut original = Network::new(&graph, variant, &adversary);
+    trace(&mut original);
+    let budget = adversary.step_budget(n);
+    let (result, schedule) = original.record(&adversary, sched, budget);
+    let recorded = result
+        .unwrap_or_else(|e| panic!("{label} n={n}: {e}"))
+        .outcome;
     assert_eq!(
         schedule.len() as u64, recorded.steps,
         "{label} n={n}: one recorded choice per executed step"
@@ -43,29 +48,46 @@ fn record_then_replay(n: usize, label: &str, sched: Box<dyn Scheduler>, variant:
         .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
     assert_eq!(reparsed, schedule, "{label} n={n}: text round-trip");
 
-    let mut fresh = Discovery::new(&graph, variant);
-    fresh.runner_mut().enable_trace();
-    let replayed = fresh.run_replay(&reparsed).unwrap();
+    // `replay` reads the adversary back from the metadata and checks the
+    // requirements and budgets; a traced network replays the same choices
+    // so the event sequences can be compared too.
+    let replayed = replay(&graph, variant, &reparsed)
+        .unwrap_or_else(|e| panic!("{label} n={n}: {e}"))
+        .outcome;
+    let mut fresh = Network::new(&graph, variant, &adversary);
+    trace(&mut fresh);
+    let traced = fresh
+        .run(&adversary, &mut ReplayScheduler::strict(&reparsed), budget)
+        .unwrap_or_else(|e| panic!("{label} n={n}: {e}"))
+        .outcome;
 
-    assert_eq!(replayed.steps, recorded.steps, "{label} n={n}: steps");
-    assert_eq!(replayed.leaders, recorded.leaders, "{label} n={n}: leaders");
-    assert_eq!(
-        replayed.leader_of, recorded.leader_of,
-        "{label} n={n}: leader_of"
-    );
-    assert_eq!(
-        format!("{}", replayed.metrics),
-        format!("{}", recorded.metrics),
-        "{label} n={n}: full metrics table"
-    );
+    for replayed in [&replayed, &traced] {
+        assert_eq!(replayed.steps, recorded.steps, "{label} n={n}: steps");
+        assert_eq!(replayed.leaders, recorded.leaders, "{label} n={n}: leaders");
+        assert_eq!(
+            replayed.leader_of, recorded.leader_of,
+            "{label} n={n}: leader_of"
+        );
+        assert_eq!(
+            format!("{}", replayed.metrics),
+            format!("{}", recorded.metrics),
+            "{label} n={n}: full metrics table"
+        );
+    }
+    let (Network::Bare(original), Network::Bare(fresh)) = (&original, &fresh) else {
+        unreachable!("honest runs use bare nodes");
+    };
     assert_eq!(
         fresh.runner().trace().unwrap().events(),
         original.runner().trace().unwrap().events(),
         "{label} n={n}: trace event sequence"
     );
-    fresh
-        .check_requirements(&graph)
-        .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
+}
+
+fn trace(net: &mut Network) {
+    if let Network::Bare(d) = net {
+        d.runner_mut().enable_trace();
+    }
 }
 
 #[test]

@@ -28,6 +28,10 @@
 //!   least one survivor-guarantee violation, backing the "fails" cells of
 //!   the survival matrix (`tests/survival_matrix.rs`).
 //!
+//! The discovery, fault and Byzantine entries replay through the one run
+//! pipeline (`ard_core::replay`), which reads the adversary back from the
+//! metadata; the regeneration tests record them with `ard_core::record`.
+//!
 //! To regenerate the discovery, fault and Byzantine entries after an
 //! intentional engine change:
 //! `cargo test --test replay_corpus regenerate -- --ignored`,
@@ -37,7 +41,7 @@
 use std::path::PathBuf;
 
 use ard_cli::spec;
-use asynchronous_resource_discovery::core::{budgets, Discovery};
+use asynchronous_resource_discovery::core::{record, replay, Adversary};
 use asynchronous_resource_discovery::netsim::explore::fixtures;
 use asynchronous_resource_discovery::netsim::{Choice, ReplayScheduler, Schedule, Scheduler};
 
@@ -199,74 +203,38 @@ fn every_corpus_schedule_replays_and_still_holds() {
         let variant = spec::parse_variant(schedule.meta("variant").expect("variant meta"))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let graph = spec::parse_topology(topology).unwrap_or_else(|e| panic!("{name}: {e}"));
-        if schedule.meta("byzantine").is_some() || schedule.meta("churn").is_some() {
-            let outcome = Discovery::replay_byzantine(&graph, variant, &schedule)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(
-                outcome.steps,
-                schedule.len() as u64,
-                "{name}: Byzantine replay executed every recorded choice"
-            );
-            if let Some(steps) = schedule.meta("steps") {
-                assert_eq!(steps, outcome.steps.to_string(), "{name}: pinned step count");
-            }
-            assert!(
-                !outcome.survives_all(),
-                "{name}: a Byzantine corpus witness must reproduce a guarantee violation"
-            );
-            assert!(
-                outcome.byzantine.forged > 0
-                    || outcome.byzantine.silenced > 0
-                    || !outcome.left.is_empty(),
-                "{name}: the witness should actually contain adversarial events"
-            );
-            continue;
-        }
-        if schedule.meta("faults").is_some() {
-            let outcome = Discovery::replay_faulty(&graph, variant, &schedule)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(
-                outcome.steps,
-                schedule.len() as u64,
-                "{name}: faulty replay executed every recorded choice"
-            );
-            if let Some(steps) = schedule.meta("steps") {
-                assert_eq!(steps, outcome.steps.to_string(), "{name}: pinned step count");
-            }
-            assert!(
-                outcome.faults.any(),
-                "{name}: a fault schedule should actually contain faults"
-            );
-            budgets::check_all_faulty(
-                &outcome.metrics,
-                graph.len() as u64,
-                graph.edge_count() as u64,
-                variant,
-            )
-            .unwrap_or_else(|e| panic!("{name}: faulty budgets: {e}"));
-            continue;
-        }
-        let mut d = Discovery::new(&graph, variant);
-        let outcome = d
-            .run_replay(&schedule)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        // Honest and fault entries must satisfy the requirements and the
+        // budgets (net of the retransmission overhead under faults), or
+        // `replay` fails; Byzantine entries report their verdicts.
+        let report = replay(&graph, variant, &schedule).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
-            outcome.steps,
+            report.outcome.steps,
             schedule.len() as u64,
             "{name}: replay executed every recorded choice"
         );
         if let Some(steps) = schedule.meta("steps") {
-            assert_eq!(steps, outcome.steps.to_string(), "{name}: pinned step count");
+            assert_eq!(steps, report.outcome.steps.to_string(), "{name}: pinned step count");
         }
-        d.check_requirements(&graph)
-            .unwrap_or_else(|e| panic!("{name}: requirements: {e}"));
-        budgets::check_all(
-            &outcome.metrics,
-            graph.len() as u64,
-            graph.edge_count() as u64,
-            variant,
-        )
-        .unwrap_or_else(|e| panic!("{name}: budgets: {e}"));
+        let metrics = &report.outcome.metrics;
+        match Adversary::from_schedule(&schedule, graph.len()).unwrap() {
+            Adversary::Honest => {}
+            Adversary::Faults(_) => assert!(
+                metrics.faults().any(),
+                "{name}: a fault schedule should actually contain faults"
+            ),
+            Adversary::Byzantine { .. } => {
+                assert!(
+                    report.check().is_err(),
+                    "{name}: a Byzantine corpus witness must reproduce a guarantee violation"
+                );
+                assert!(
+                    metrics.byzantine().forged > 0
+                        || metrics.byzantine().silenced > 0
+                        || !report.left.is_empty(),
+                    "{name}: the witness should actually contain adversarial events"
+                );
+            }
+        }
     }
 }
 
@@ -305,9 +273,6 @@ fn discovery_corpus() -> Vec<(&'static str, &'static str, &'static str, Box<dyn 
     ]
 }
 
-/// Regenerates the discovery corpus files in place. Ignored by default:
-/// run it deliberately after an intentional engine change and review the
-/// resulting diff like any other pinned-output update.
 /// Regenerates the fault-schedule corpus entries in place: a complete
 /// recorded lossy/duplicating/crashy discovery run, and the minimized
 /// crash-triggered witness of the planted fragile bug (found by
@@ -327,11 +292,15 @@ fn regenerate_fault_corpus() {
         .with_drop(0.15)
         .with_dup(0.05)
         .with_spread_crashes(2, graph.len());
-    let (result, mut schedule) =
-        Discovery::run_faulty(&graph, Variant::AdHoc, &plan, RandomScheduler::seeded(3));
-    let outcome = result.expect("faulty corpus run must complete");
+    let (result, mut schedule) = record(
+        &graph,
+        Variant::AdHoc,
+        &Adversary::Faults(plan),
+        RandomScheduler::seeded(3),
+    );
+    let report = result.expect("faulty corpus run must complete");
     schedule.set_meta("topology", topology);
-    schedule.set_meta("steps", outcome.steps.to_string());
+    schedule.set_meta("steps", report.outcome.steps.to_string());
     let path = corpus_dir().join("faulty-random-12-adhoc-random.schedule");
     std::fs::write(&path, schedule.to_text()).unwrap();
     println!("wrote {} ({} choices)", path.display(), schedule.len());
@@ -426,40 +395,41 @@ fn regenerate_byzantine_corpus() {
 
     let topology = "ring:12";
     let graph = spec::parse_topology(topology).unwrap();
-    let byz = ByzantinePlan::new(7, 2);
-    let churn = ChurnPlan::new(11, 0.2);
-    let (result, mut schedule) = Discovery::run_byzantine(
+    let adversary = Adversary::Byzantine {
+        plan: Some(ByzantinePlan::new(7, 2)),
+        churn: Some(ChurnPlan::new(11, 0.2)),
+    };
+    let (result, mut schedule) = record(
         &graph,
         Variant::AdHoc,
-        Some(&byz),
-        Some(&churn),
+        &adversary,
         RandomScheduler::seeded(5),
     );
-    let outcome = result.expect("Byzantine corpus run must quiesce");
+    let report = result.expect("Byzantine corpus run must quiesce");
     assert!(
-        !outcome.survives_all(),
+        report.check().is_err(),
         "the churn witness must violate a survivor guarantee"
     );
     schedule.set_meta("topology", topology);
-    schedule.set_meta("steps", outcome.steps.to_string());
+    schedule.set_meta("steps", report.outcome.steps.to_string());
     let path = corpus_dir().join("byzantine-churn-ring-12.schedule");
     std::fs::write(&path, schedule.to_text()).unwrap();
     println!("wrote {} ({} choices)", path.display(), schedule.len());
 }
 
+/// Regenerates the discovery corpus files in place. Ignored by default:
+/// run it deliberately after an intentional engine change and review the
+/// resulting diff like any other pinned-output update.
 #[test]
 #[ignore = "writes tests/corpus; run explicitly to regenerate"]
 fn regenerate_discovery_corpus() {
     for (file, topology, variant_name, sched) in discovery_corpus() {
         let variant = spec::parse_variant(variant_name).unwrap();
         let graph = spec::parse_topology(topology).unwrap();
-        let mut d = Discovery::new(&graph, variant);
-        let (result, mut schedule) = d.run_recorded(sched);
-        let outcome = result.unwrap_or_else(|e| panic!("{file}: {e}"));
-        d.check_requirements(&graph)
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        let (result, mut schedule) = record(&graph, variant, &Adversary::Honest, sched);
+        let report = result.unwrap_or_else(|e| panic!("{file}: {e}"));
         schedule.set_meta("topology", topology);
-        schedule.set_meta("steps", outcome.steps.to_string());
+        schedule.set_meta("steps", report.outcome.steps.to_string());
         let path = corpus_dir().join(file);
         std::fs::write(&path, schedule.to_text()).unwrap();
         println!("wrote {} ({} choices)", path.display(), schedule.len());
