@@ -1008,6 +1008,9 @@ fn replay_cmd(args: &[String]) -> Result<String, CliError> {
         .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
     let schedule = Schedule::parse(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
     let system = System::from_schedule(&schedule)?;
+    schedule
+        .check_nodes(system.node_count()?)
+        .map_err(|e| CliError(format!("{path}: {e}")))?;
 
     let mut out = String::new();
     writeln!(out, "schedule  : {} choices from {path}", schedule.len()).unwrap();
@@ -1293,6 +1296,35 @@ mod tests {
         assert_eq!(a, run_line(&line).unwrap());
         assert!(a.contains("result    : schedule replayed cleanly"));
         assert!(a.contains("meta      : variant = ad-hoc"));
+    }
+
+    #[test]
+    fn replay_rejects_a_choice_outside_the_network() {
+        let path = std::env::temp_dir().join("ard-cli-test-phantom.schedule");
+        let header = "ard-schedule v2\nmeta topology ring:12\nmeta variant ad-hoc\n";
+        for (body, named) in [
+            ("c 100\n", "choice 1 (`c 100`) names node 100"),
+            ("c 50\n", "choice 1 (`c 50`) names node 50"),
+            ("w 0\nd 3 12\n", "choice 2 (`d 3 12`) names node 12"),
+        ] {
+            std::fs::write(&path, format!("{header}{body}")).unwrap();
+            let err = run_line(&format!("replay {}", path.display())).unwrap_err();
+            assert!(err.0.contains(named), "{}", err.0);
+            assert!(err.0.contains("outside the 12-node network"), "{}", err.0);
+        }
+        // An id past the id space is a parse error, not a panic.
+        std::fs::write(&path, format!("{header}c 99999999999\n")).unwrap();
+        let err = run_line(&format!("replay {}", path.display())).unwrap_err();
+        assert!(err.0.contains("`99999999999` is not a node index"), "{}", err.0);
+        // A `nodes` meta that disagrees with the topology is rejected too.
+        std::fs::write(&path, format!("{header}meta nodes 13\nw 0\n")).unwrap();
+        let err = run_line(&format!("replay {}", path.display())).unwrap_err();
+        assert!(err.0.contains("`nodes 13` disagrees with the 12-node network"), "{}", err.0);
+        // Fixtures check against their own node count (hub plus clients).
+        std::fs::write(&path, "ard-schedule v1\nmeta system racy:3\nw 4\n").unwrap();
+        let err = run_line(&format!("replay {}", path.display())).unwrap_err();
+        assert!(err.0.contains("choice 1 (`w 4`) names node 4, outside the 4-node network"), "{}", err.0);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -457,13 +457,15 @@ pub fn record<S: Scheduler>(
 ///
 /// # Errors
 ///
-/// Returns malformed metadata, or the run's own error exactly as the
-/// recording produced it.
+/// Returns malformed metadata, a choice or `nodes` meta that does not fit
+/// `graph` ([`Schedule::check_nodes`]), or the run's own error exactly as
+/// the recording produced it.
 pub fn replay(
     graph: &KnowledgeGraph,
     variant: Variant,
     schedule: &Schedule,
 ) -> Result<Report, String> {
+    schedule.check_nodes(graph.len())?;
     let adversary = Adversary::from_schedule(schedule, graph.len())?;
     run(
         graph,
@@ -574,7 +576,7 @@ fn parse_churn(spec: &str) -> Result<ChurnPlan, String> {
 mod tests {
     use super::*;
     use ard_graph::gen;
-    use ard_netsim::RandomScheduler;
+    use ard_netsim::{Choice, RandomScheduler};
 
     #[test]
     fn recorded_run_replays_to_identical_outcome() {
@@ -598,6 +600,21 @@ mod tests {
             format!("{}", replayed.metrics),
             format!("{}", recorded.metrics)
         );
+    }
+
+    #[test]
+    fn replay_rejects_a_schedule_that_does_not_fit_the_network() {
+        let graph = gen::ring(12);
+        let crash = Schedule::new(vec![Choice::Crash(NodeId::new(100))]);
+        let err = replay(&graph, Variant::AdHoc, &crash).unwrap_err();
+        assert_eq!(
+            err,
+            "choice 1 (`c 100`) names node 100, outside the 12-node network"
+        );
+        let mut wrong_size = Schedule::new(vec![Choice::Wake(NodeId::new(0))]);
+        wrong_size.set_meta("nodes", "13");
+        let err = replay(&graph, Variant::AdHoc, &wrong_size).unwrap_err();
+        assert_eq!(err, "schedule meta `nodes 13` disagrees with the 12-node network");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! representations through the same payloads across the three payload
 //! shapes that matter:
 //!
-//! - **dense**: small scattered lists, below `IdSeq`'s run-coding
-//!   threshold (the common query-reply case);
+//! - **scattered**: short unsorted lists, mostly one singleton run per id
+//!   (the common query-reply case);
 //! - **run-heavy**: ascending interval fills (the endgame handover case
 //!   run coding exists for);
 //! - **adversarially fragmented**: stride-2 and descending ids, where no
@@ -25,13 +25,13 @@ use ard_netsim::{Envelope, IdSeq, Metrics, NodeId, StateDigest, KIND_TAG_BITS};
 
 const UNIVERSE: usize = 4096;
 
-/// Dense shape: short scattered id lists (stay one-id-per-word).
-fn dense_ids() -> impl Strategy<Value = Vec<NodeId>> {
+/// Scattered shape: short unsorted id lists (mostly one run per id).
+fn scattered_ids() -> impl Strategy<Value = Vec<NodeId>> {
     prop::collection::vec((0..UNIVERSE).prop_map(NodeId::new), 0..24)
 }
 
-/// Run-heavy shape: a few ascending interval fills, crossing the
-/// run-coding threshold with long coalescible runs.
+/// Run-heavy shape: a few ascending interval fills, with long
+/// coalescible runs.
 fn run_heavy_ids() -> impl Strategy<Value = Vec<NodeId>> {
     prop::collection::vec((0..UNIVERSE - 256, 1..128usize), 1..6).prop_map(|intervals| {
         intervals
@@ -53,7 +53,7 @@ fn fragmented_ids() -> impl Strategy<Value = Vec<NodeId>> {
 
 /// Any of the three payload shapes.
 fn payload_ids() -> impl Strategy<Value = Vec<NodeId>> {
-    prop_oneof![dense_ids(), run_heavy_ids(), fragmented_ids()]
+    prop_oneof![scattered_ids(), run_heavy_ids(), fragmented_ids()]
 }
 
 /// One message carrying `IdSeq` payloads plus the `Vec<NodeId>` oracle of
@@ -69,7 +69,7 @@ fn arb_payload_message() -> impl Strategy<Value = (Message, Vec<NodeId>, Vec<u64
             ids,
             vec![u64::from(exhausted)],
         )),
-        (any::<u32>(), payload_ids(), payload_ids(), dense_ids(), payload_ids()).prop_map(
+        (any::<u32>(), payload_ids(), payload_ids(), scattered_ids(), payload_ids()).prop_map(
             |(phase, more, done, unaware, unexplored)| {
                 let oracle: Vec<NodeId> = more
                     .iter()

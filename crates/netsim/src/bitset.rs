@@ -52,6 +52,18 @@ impl BitSet {
         old & mask == 0
     }
 
+    /// Removes `index`. Returns `true` if it was present.
+    pub fn remove(&mut self, index: usize) -> bool {
+        let mask = 1u64 << (index % 64);
+        match self.words.get_mut(index / 64) {
+            Some(w) if *w & mask != 0 => {
+                *w &= !mask;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Whether `index` is in the set.
     pub fn contains(&self, index: usize) -> bool {
         self.words
@@ -91,16 +103,6 @@ impl BitSet {
                     Some(wi * 64 + b)
                 })
             })
-    }
-
-    /// Unions `other` into `self` word-by-word (`self ∪= other`).
-    pub fn union_with(&mut self, other: &BitSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
     }
 
     /// Heap bytes backing the set (capacity, not just occupancy).
@@ -169,14 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn union_with_grows_and_merges() {
-        let mut a: BitSet = [1usize, 100].into_iter().collect();
-        let b: BitSet = [2usize, 700].into_iter().collect();
-        a.union_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2, 100, 700]);
-        // Union with a smaller set must not shrink.
-        let small: BitSet = [3usize].into_iter().collect();
-        a.union_with(&small);
-        assert_eq!(a.len(), 5);
+    fn remove_clears_only_present_members() {
+        let mut s: BitSet = [3usize, 64].into_iter().collect();
+        assert!(s.remove(64));
+        assert!(!s.remove(64), "second remove reports already-absent");
+        assert!(!s.remove(10_000), "removing past the words is a no-op");
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3]);
     }
 }

@@ -3,11 +3,12 @@
 //! A discovery run's large payloads (`info` handovers, query-family
 //! replies) ship subsets of a component whose ids are dense ranges of the
 //! simulator's index space — mostly *runs*, not scattered ids. An
-//! [`IdSeq`] stores such a payload as an ordered sequence of half-open
-//! runs once it grows past a small threshold, so the endgame's
-//! O(component)-sized payloads collapse to a handful of words instead of
-//! an O(component) `Vec<NodeId>` per message (the allocation/memcpy
-//! traffic that dominated large-n throughput).
+//! [`IdSeq`] stores a payload as an ordered sequence of half-open runs, so
+//! the endgame's O(component)-sized payloads collapse to a handful of words
+//! instead of an O(component) `Vec<NodeId>` per message (the
+//! allocation/memcpy traffic that dominated large-n throughput). A
+//! singleton run is one word, the size of a plain id, so scattered
+//! payloads cost no more than a `Vec` of ids would.
 //!
 //! Unlike [`IntervalSet`](crate::IntervalSet), an [`IdSeq`] is a
 //! *sequence*, not a set: it preserves exactly the order ids were pushed
@@ -17,11 +18,6 @@
 //! representation it replaces.
 
 use crate::NodeId;
-
-/// Ids stored one-per-word before switching to run coding. Below this the
-/// payload is small enough that run bookkeeping cannot pay for itself;
-/// above it, consecutive pushes start coalescing into `(start, end)` runs.
-const DENSE_MAX: u32 = 32;
 
 /// Packs a half-open run `[start, end)` into one word.
 fn pack(start: u32, end: u32) -> u64 {
@@ -37,13 +33,10 @@ fn unpack(word: u64) -> (u32, u32) {
 ///
 /// Semantically a `Vec<NodeId>`: pushing ids and iterating yields exactly
 /// the pushed sequence, in order, duplicates included. Representationally
-/// it is dense (one id per word) below [`DENSE_MAX`] ids and run-coded
-/// above, where a push of `last_end` extends the final run in place — so
-/// a payload built from ascending iteration (every production site: the
-/// `BTreeSet` cluster sets) stores long runs in O(1) words each.
-///
-/// Equality compares the id *sequence*, not the representation: a dense
-/// and a run-coded `IdSeq` holding the same ids are equal.
+/// it is one half-open `[start, end)` run per word, where a push of the
+/// last run's `end` extends that run in place — so a payload built from
+/// ascending iteration (every production site: the `BTreeSet` cluster
+/// sets) stores long runs in O(1) words each.
 ///
 /// # Example
 ///
@@ -55,15 +48,13 @@ fn unpack(word: u64) -> (u32, u32) {
 /// assert!(seq.heap_bytes() <= 40 * 8, "one ascending run stays compact");
 /// assert_eq!(seq.iter().collect::<Vec<_>>(), (0..100).map(NodeId::new).collect::<Vec<_>>());
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct IdSeq {
-    /// Dense mode: one id per word (low 32 bits). Run mode: one half-open
-    /// `[start, end)` run per word, `start` in the high 32 bits.
+    /// One half-open `[start, end)` run per word, `start` in the high 32
+    /// bits. Each run is maximal: a run never ends where the next begins.
     words: Vec<u64>,
-    /// Total ids in the sequence (sum of run lengths in run mode).
+    /// Total ids in the sequence (sum of run lengths).
     len: u32,
-    /// Whether `words` holds runs instead of single ids.
-    run_coded: bool,
 }
 
 impl IdSeq {
@@ -77,11 +68,7 @@ impl IdSeq {
     /// payload buffers through a [`MessageArena`](crate::MessageArena).
     pub fn with_buffer(mut buf: Vec<u64>) -> Self {
         buf.clear();
-        IdSeq {
-            words: buf,
-            len: 0,
-            run_coded: false,
-        }
+        IdSeq { words: buf, len: 0 }
     }
 
     /// Appends `id` to the sequence.
@@ -93,44 +80,14 @@ impl IdSeq {
     pub fn push(&mut self, id: NodeId) {
         let i = id.index() as u32;
         debug_assert!(i < u32::MAX, "id sequence index below u32::MAX");
-        if !self.run_coded {
-            if self.len < DENSE_MAX {
-                self.words.push(u64::from(i));
-                self.len += 1;
-                return;
-            }
-            self.convert_to_runs();
-        }
         match self.words.last_mut() {
             // Extending the last run keeps ascending streams at one word
             // per run; anything else appends a fresh (possibly singleton)
             // run, preserving the exact push order.
-            Some(w) if (*w as u32) == i && (*w >> 32) as u32 <= i => *w += 1,
+            Some(w) if (*w as u32) == i => *w += 1,
             _ => self.words.push(pack(i, i + 1)),
         }
         self.len += 1;
-    }
-
-    /// Re-codes the dense words as runs, in place. Each maximal ascending
-    /// stretch of consecutive ids becomes one run; since every run
-    /// consumes at least one dense word, the write index never passes the
-    /// read index and the buffer never grows.
-    fn convert_to_runs(&mut self) {
-        let mut write = 0usize;
-        let mut read = 0usize;
-        while read < self.words.len() {
-            let start = self.words[read] as u32;
-            let mut end = start + 1;
-            read += 1;
-            while read < self.words.len() && self.words[read] as u32 == end {
-                end += 1;
-                read += 1;
-            }
-            self.words[write] = pack(start, end);
-            write += 1;
-        }
-        self.words.truncate(write);
-        self.run_coded = true;
     }
 
     /// Number of ids in the sequence.
@@ -146,53 +103,28 @@ impl IdSeq {
     /// Calls `f` with every id, in push order (the hot, allocation-free
     /// walk behind [`Envelope::for_each_carried_id`](crate::Envelope::for_each_carried_id)).
     pub fn for_each(&self, f: &mut dyn FnMut(NodeId)) {
-        if self.run_coded {
-            for &w in &self.words {
-                let (start, end) = unpack(w);
-                for i in start..end {
-                    f(NodeId::new(i as usize));
-                }
-            }
-        } else {
-            for &w in &self.words {
-                f(NodeId::new(w as usize));
+        for &w in &self.words {
+            let (start, end) = unpack(w);
+            for i in start..end {
+                f(NodeId::new(i as usize));
             }
         }
     }
 
-    /// Calls `f` with `[start, end)` runs whose concatenation is exactly
-    /// the id sequence. Dense stretches of consecutive ids are reported as
-    /// one run even in dense mode, so knowledge absorption at delivery
-    /// can learn a whole run per call instead of id-by-id.
+    /// Calls `f` with the maximal `[start, end)` runs whose concatenation
+    /// is exactly the id sequence, so knowledge absorption at delivery can
+    /// learn a whole run per call instead of id-by-id.
     pub fn for_each_run(&self, f: &mut dyn FnMut(u32, u32)) {
-        if self.run_coded {
-            for &w in &self.words {
-                let (start, end) = unpack(w);
-                f(start, end);
-            }
-        } else {
-            let mut i = 0usize;
-            while i < self.words.len() {
-                let start = self.words[i] as u32;
-                let mut end = start + 1;
-                i += 1;
-                while i < self.words.len() && self.words[i] as u32 == end {
-                    end += 1;
-                    i += 1;
-                }
-                f(start, end);
-            }
+        for &w in &self.words {
+            let (start, end) = unpack(w);
+            f(start, end);
         }
     }
 
     /// Iterates over the ids in push order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().flat_map(move |&w| {
-            let (start, end) = if self.run_coded {
-                unpack(w)
-            } else {
-                (w as u32, w as u32 + 1)
-            };
+        self.words.iter().flat_map(|&w| {
+            let (start, end) = unpack(w);
             (start..end).map(|i| NodeId::new(i as usize))
         })
     }
@@ -201,14 +133,10 @@ impl IdSeq {
     /// and assertions only).
     pub fn contains(&self, id: NodeId) -> bool {
         let i = id.index() as u32;
-        if self.run_coded {
-            self.words.iter().any(|&w| {
-                let (start, end) = unpack(w);
-                start <= i && i < end
-            })
-        } else {
-            self.words.iter().any(|&w| w as u32 == i)
-        }
+        self.words.iter().any(|&w| {
+            let (start, end) = unpack(w);
+            start <= i && i < end
+        })
     }
 
     /// The ids collected into a `Vec`, in push order.
@@ -227,14 +155,6 @@ impl IdSeq {
         self.words
     }
 }
-
-impl PartialEq for IdSeq {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for IdSeq {}
 
 impl std::fmt::Debug for IdSeq {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -282,29 +202,27 @@ mod tests {
     }
 
     #[test]
-    fn dense_sequences_round_trip() {
+    fn sequences_round_trip() {
         roundtrip(&[]);
         roundtrip(&ids(&[7]));
         roundtrip(&ids(&[5, 3, 9, 3, 0])); // unsorted, duplicate
-        roundtrip(&(0..31).map(NodeId::new).collect::<Vec<_>>());
-    }
 
-    #[test]
-    fn run_coded_sequences_round_trip() {
-        // Ascending across the threshold: coalesces into one run.
+        // Ascending: coalesces into one run.
         let asc: Vec<NodeId> = (10..200).map(NodeId::new).collect();
         roundtrip(&asc);
         let seq: IdSeq = asc.iter().copied().collect();
-        assert!(seq.run_coded);
         assert_eq!(seq.words.len(), 1, "one ascending run is one word");
 
         // Segmented ascending (snapshot shape: more ++ done ++ unaware).
         let segs: Vec<NodeId> = (0..40).chain(100..140).chain(20..60).map(NodeId::new).collect();
         roundtrip(&segs);
 
-        // Adversarially fragmented: every other id, no coalescing possible.
+        // Adversarially fragmented: every other id, no coalescing possible,
+        // one word per id.
         let frag: Vec<NodeId> = (0..50).map(|i| NodeId::new(2 * i)).collect();
         roundtrip(&frag);
+        let seq: IdSeq = frag.iter().copied().collect();
+        assert_eq!(seq.words.len(), 50);
 
         // Descending (never produced, still must be exact).
         let desc: Vec<NodeId> = (0..50).rev().map(NodeId::new).collect();
@@ -312,37 +230,14 @@ mod tests {
     }
 
     #[test]
-    fn threshold_conversion_is_in_place() {
-        let mut seq = IdSeq::new();
-        for i in 0..DENSE_MAX as usize {
-            seq.push(NodeId::new(i));
-        }
-        assert!(!seq.run_coded);
-        let cap = seq.words.capacity();
-        seq.push(NodeId::new(DENSE_MAX as usize));
-        assert!(seq.run_coded);
-        assert_eq!(seq.words.capacity(), cap, "conversion reuses the buffer");
-        assert_eq!(seq.to_vec(), (0..=DENSE_MAX as usize).map(NodeId::new).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn equality_is_representation_independent() {
-        // Same ids, one dense (pushed) and one forced run-coded (long
-        // prefix trimmed by building differently is not possible — build
-        // past the threshold then compare against the same sequence).
-        let long: Vec<NodeId> = (0..100).map(NodeId::new).collect();
-        let a: IdSeq = long.iter().copied().collect();
+    fn equality_compares_the_sequence() {
+        let a: IdSeq = (0..100).map(NodeId::new).collect();
         let mut b = IdSeq::new();
-        b.extend(long.iter().copied());
+        b.extend((0..100).map(NodeId::new));
         assert_eq!(a, b);
-
-        let short_dense: IdSeq = ids(&[1, 2, 3]).into_iter().collect();
-        let mut short_runs = IdSeq::new();
-        short_runs.extend(ids(&[1, 2, 3]));
-        short_runs.convert_to_runs();
-        assert!(!short_dense.run_coded && short_runs.run_coded);
-        assert_eq!(short_dense, short_runs);
-        assert_ne!(short_dense, ids(&[1, 3, 2]).into_iter().collect::<IdSeq>());
+        let short: IdSeq = ids(&[1, 2, 3]).into_iter().collect();
+        assert_ne!(short, ids(&[1, 3, 2]).into_iter().collect::<IdSeq>());
+        assert_ne!(short, ids(&[1, 2]).into_iter().collect::<IdSeq>());
     }
 
     #[test]
@@ -358,10 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn contains_scans_both_modes() {
-        let dense: IdSeq = ids(&[3, 8]).into_iter().collect();
-        assert!(dense.contains(NodeId::new(8)));
-        assert!(!dense.contains(NodeId::new(4)));
+    fn contains_scans_every_run() {
+        let scattered: IdSeq = ids(&[3, 8]).into_iter().collect();
+        assert!(scattered.contains(NodeId::new(8)));
+        assert!(!scattered.contains(NodeId::new(4)));
         let runs: IdSeq = (0..100).map(NodeId::new).collect();
         assert!(runs.contains(NodeId::new(99)));
         assert!(!runs.contains(NodeId::new(100)));
@@ -373,11 +268,11 @@ mod tests {
         // one equal to its last member must append, not extend.
         let mut seq = IdSeq::new();
         seq.extend((0..40).map(NodeId::new));
-        assert!(seq.run_coded);
         seq.push(NodeId::new(39));
         let mut expected: Vec<NodeId> = (0..40).map(NodeId::new).collect();
         expected.push(NodeId::new(39));
         assert_eq!(seq.to_vec(), expected);
         assert_eq!(seq.len(), 41);
+        assert_eq!(seq.words.len(), 2);
     }
 }

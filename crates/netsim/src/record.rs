@@ -115,6 +115,44 @@ pub struct Schedule {
     choices: Vec<Choice>,
 }
 
+/// One choice in the text format, without the trailing newline.
+fn choice_line(choice: &Choice) -> String {
+    match *choice {
+        Choice::Wake(node) => format!("w {}", node.index()),
+        Choice::Deliver { src, dst } => format!("d {} {}", src.index(), dst.index()),
+        Choice::Drop { src, dst } => format!("x {} {}", src.index(), dst.index()),
+        Choice::Duplicate { src, dst } => format!("u {} {}", src.index(), dst.index()),
+        Choice::Crash(node) => format!("c {}", node.index()),
+        Choice::Restart(node) => format!("r {}", node.index()),
+        Choice::Tick(node) => format!("t {}", node.index()),
+        Choice::Forge { src, dst, salt } => {
+            format!("f {} {} {}", src.index(), dst.index(), salt)
+        }
+        Choice::Silence { src, dst } => format!("s {} {}", src.index(), dst.index()),
+        Choice::StaleRestart(node) => format!("z {}", node.index()),
+        Choice::Join(node) => format!("j {}", node.index()),
+        Choice::Leave(node) => format!("l {}", node.index()),
+    }
+}
+
+/// The one or two nodes a choice names.
+fn choice_nodes(choice: &Choice) -> [Option<NodeId>; 2] {
+    match *choice {
+        Choice::Wake(a)
+        | Choice::Crash(a)
+        | Choice::Restart(a)
+        | Choice::Tick(a)
+        | Choice::StaleRestart(a)
+        | Choice::Join(a)
+        | Choice::Leave(a) => [Some(a), None],
+        Choice::Deliver { src, dst }
+        | Choice::Drop { src, dst }
+        | Choice::Duplicate { src, dst }
+        | Choice::Forge { src, dst, .. }
+        | Choice::Silence { src, dst } => [Some(src), Some(dst)],
+    }
+}
+
 impl Schedule {
     /// A schedule over the given choices, with no metadata.
     pub fn new(choices: Vec<Choice>) -> Self {
@@ -187,46 +225,41 @@ impl Schedule {
             out.push('\n');
         }
         for choice in &self.choices {
-            match *choice {
-                Choice::Wake(node) => {
-                    out.push_str(&format!("w {}\n", node.index()));
-                }
-                Choice::Deliver { src, dst } => {
-                    out.push_str(&format!("d {} {}\n", src.index(), dst.index()));
-                }
-                Choice::Drop { src, dst } => {
-                    out.push_str(&format!("x {} {}\n", src.index(), dst.index()));
-                }
-                Choice::Duplicate { src, dst } => {
-                    out.push_str(&format!("u {} {}\n", src.index(), dst.index()));
-                }
-                Choice::Crash(node) => {
-                    out.push_str(&format!("c {}\n", node.index()));
-                }
-                Choice::Restart(node) => {
-                    out.push_str(&format!("r {}\n", node.index()));
-                }
-                Choice::Tick(node) => {
-                    out.push_str(&format!("t {}\n", node.index()));
-                }
-                Choice::Forge { src, dst, salt } => {
-                    out.push_str(&format!("f {} {} {}\n", src.index(), dst.index(), salt));
-                }
-                Choice::Silence { src, dst } => {
-                    out.push_str(&format!("s {} {}\n", src.index(), dst.index()));
-                }
-                Choice::StaleRestart(node) => {
-                    out.push_str(&format!("z {}\n", node.index()));
-                }
-                Choice::Join(node) => {
-                    out.push_str(&format!("j {}\n", node.index()));
-                }
-                Choice::Leave(node) => {
-                    out.push_str(&format!("l {}\n", node.index()));
-                }
-            }
+            out.push_str(&choice_line(choice));
+            out.push('\n');
         }
         out
+    }
+
+    /// Checks the schedule against an `n`-node network: a `nodes` meta, if
+    /// present, must equal `n`, and every choice must name nodes below `n`.
+    /// Replay runs this before executing anything, so a schedule recorded
+    /// against a different system fails with the offending choice named
+    /// instead of indexing past the node table.
+    ///
+    /// # Errors
+    ///
+    /// Names the disagreeing meta or the first choice (1-based, with its
+    /// text-format line) that points outside the network.
+    pub fn check_nodes(&self, n: usize) -> Result<(), String> {
+        if let Some(nodes) = self.meta("nodes") {
+            if nodes.parse::<usize>().ok() != Some(n) {
+                return Err(format!(
+                    "schedule meta `nodes {nodes}` disagrees with the {n}-node network"
+                ));
+            }
+        }
+        for (i, choice) in self.choices.iter().enumerate() {
+            if let Some(bad) = choice_nodes(choice).into_iter().flatten().find(|v| v.index() >= n) {
+                return Err(format!(
+                    "choice {} (`{}`) names node {}, outside the {n}-node network",
+                    i + 1,
+                    choice_line(choice),
+                    bad.index()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Parses the text format (version 1 or 2 — every directive is
@@ -239,8 +272,8 @@ impl Schedule {
     pub fn parse(text: &str) -> Result<Self, ScheduleParseError> {
         let fail = |line: usize, message: String| ScheduleParseError { line, message };
         let parse_node = |line: usize, s: &str, what: &str| -> Result<NodeId, ScheduleParseError> {
-            s.parse::<usize>()
-                .map(NodeId::new)
+            s.parse::<u32>()
+                .map(|i| NodeId::new(i as usize))
                 .map_err(|_| fail(line, format!("{what}: `{s}` is not a node index")))
         };
         let mut lines = text

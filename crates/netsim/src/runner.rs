@@ -312,7 +312,7 @@ impl<M> Outlet<M> for FifoLoop<M> {
 /// the scheduler's choices.
 ///
 /// Internally the engine is allocation-free per event: knowledge sets live
-/// in a struct-of-arrays [`NodeTable`] (dense bitsets below ~8 K nodes,
+/// in a struct-of-arrays [`NodeTable`] (dense bitsets up to 8192 nodes,
 /// interval-coded runs above), metering uses the non-allocating
 /// [`Envelope`] visitor, and each directed link's queue is interned into a
 /// dense slot on first send (so steady-state traffic reuses its queue) —
@@ -548,7 +548,7 @@ impl<P: Protocol> Runner<P> {
         }
         set.insert(id.index());
         self.nodes.push(node);
-        self.table.push(set);
+        self.table.knowledge.push(set);
         id
     }
 
@@ -1407,6 +1407,41 @@ mod tests {
         let mut r = Runner::new(vec![Bad, Bad], vec![vec![], vec![]]);
         let mut s = FifoScheduler::new();
         r.wake_now(NodeId::new(0), &mut s);
+    }
+
+    #[test]
+    fn run_coded_knowledge_digest_depends_only_on_membership() {
+        let n = crate::table::DENSE_KNOWLEDGE_MAX + 1;
+        let me = NodeId::new(0);
+        // 70 new ids: one run of 35 and 35 scattered. Learning them crosses
+        // the 64-id insert batch once, so the batch's leftovers depend on
+        // the order: the largest scattered ids (ascending) or the start of
+        // the run, adjacent to its merged rest (descending).
+        let ids: Vec<NodeId> = (100..135)
+            .chain((200..305).step_by(3))
+            .map(NodeId::new)
+            .collect();
+        let mut ascending = line(n);
+        let mut descending = line(n);
+        for &v in &ids {
+            ascending.add_link(me, v);
+        }
+        for &v in ids.iter().rev() {
+            descending.add_link(me, v);
+        }
+        let (Knowledge::Runs(a), Knowledge::Runs(d)) =
+            (&ascending.table.knowledge[0], &descending.table.knowledge[0])
+        else {
+            panic!("knowledge above DENSE_KNOWLEDGE_MAX is run-coded");
+        };
+        assert_eq!(a, d, "same membership");
+        assert_ne!(format!("{a:?}"), format!("{d:?}"), "different batch contents");
+        assert_eq!(ascending.state_digest(), descending.state_digest());
+
+        ascending.add_link(me, NodeId::new(400));
+        assert_ne!(ascending.state_digest(), descending.state_digest());
+        descending.add_link(me, NodeId::new(400));
+        assert_eq!(ascending.state_digest(), descending.state_digest());
     }
 
     #[test]

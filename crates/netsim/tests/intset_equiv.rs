@@ -4,9 +4,9 @@
 //! knowledge for the interval-coded `IntervalSet`; the swap is only sound
 //! if the two structures are observationally identical. These properties
 //! drive both through the same operation sequences — scattered singletons,
-//! run-heavy interval fills, and interleaved unions — and require equal
-//! answers from `insert` (including its "was new" return), `contains`,
-//! `len` and in-order iteration.
+//! run-heavy interval fills, and the batched insert path delivery uses —
+//! and require equal answers from `insert` (including its "was new"
+//! return), `contains`, `len` and in-order iteration.
 
 use proptest::prelude::*;
 
@@ -23,6 +23,12 @@ fn assert_equivalent(dense: &BitSet, runs: &IntervalSet) {
     assert_eq!(dense_ids, run_ids, "iteration order diverged");
     for probe in [0, 1, 63, 64, UNIVERSE / 2, UNIVERSE - 1] {
         assert_eq!(dense.contains(probe), runs.contains(probe), "contains({probe})");
+    }
+    // Canonical runs: sorted, disjoint and non-adjacent (touching runs
+    // must have merged, batched ids included).
+    let canonical: Vec<(u32, u32)> = runs.runs().collect();
+    for w in canonical.windows(2) {
+        assert!(w[0].1 < w[1].0, "runs {w:?} should have coalesced");
     }
 }
 
@@ -54,35 +60,38 @@ proptest! {
             }
         }
         assert_equivalent(&dense, &runs);
-        // Coalescing sanity: half-open runs must stay sorted, disjoint and
-        // non-adjacent (touching runs must have merged).
-        for w in runs.runs().windows(2) {
-            prop_assert!(w[0].1 < w[1].0, "runs {:?} should have coalesced", w);
-        }
     }
 
-    /// Unions against the same mixed workloads.
+    /// The delivery path: single ids interleaved with payload runs, where
+    /// runs of one or two ids are batched id by id and longer runs are
+    /// merged whole. A prefix of up to 160 batched-only operations buffers
+    /// past the 64-id batch, so it flushes on its own before the mixed
+    /// tail; `contains` is checked on the touched ids and their neighbours
+    /// after every operation.
     #[test]
-    fn unions_are_equivalent(
-        left in proptest::collection::vec(0..UNIVERSE, 0..200),
-        right in proptest::collection::vec((0..UNIVERSE, 1..32usize), 0..12),
+    fn batched_delivery_inserts_are_equivalent(
+        batched in proptest::collection::vec((0..UNIVERSE / 4, 0..3usize), 0..160),
+        mixed in proptest::collection::vec((0..UNIVERSE / 4, 0..6usize), 0..120),
     ) {
-        let mut dense_l = BitSet::with_capacity(UNIVERSE);
-        let mut runs_l = IntervalSet::new();
-        for id in left {
-            dense_l.insert(id);
-            runs_l.insert(id);
-        }
-        let mut dense_r = BitSet::with_capacity(UNIVERSE);
-        let mut runs_r = IntervalSet::new();
-        for (start, len) in right {
-            for id in start..(start + len).min(UNIVERSE) {
-                dense_r.insert(id);
-                runs_r.insert(id);
+        let mut dense = BitSet::with_capacity(UNIVERSE);
+        let mut runs = IntervalSet::new();
+        for (start, len) in batched.into_iter().chain(mixed) {
+            // Length 0 means a single `insert`; 1–5 an `insert_run`.
+            let end = if len == 0 {
+                prop_assert_eq!(dense.insert(start), runs.insert(start));
+                start + 1
+            } else {
+                for id in start..start + len {
+                    dense.insert(id);
+                }
+                runs.insert_run(start as u32, (start + len) as u32);
+                start + len
+            };
+            prop_assert_eq!(dense.len(), runs.len());
+            for probe in start.saturating_sub(1)..=end {
+                prop_assert_eq!(dense.contains(probe), runs.contains(probe), "contains({})", probe);
             }
         }
-        dense_l.union_with(&dense_r);
-        runs_l.union_with(&runs_r);
-        assert_equivalent(&dense_l, &runs_l);
+        assert_equivalent(&dense, &runs);
     }
 }

@@ -30,7 +30,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 
 explore=(cargo run --offline --release -p ard-cli --bin ard -- \
